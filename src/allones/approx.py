@@ -16,18 +16,19 @@ from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
 from .lamps import Certificate, Instance, Solution, build_system
 
 
-def decompose(inst: Instance) -> Optional[EchelonDecomposition]:
+def decompose(inst: Instance) -> tuple[int, Optional[EchelonDecomposition]]:
     """Heavy half of the solve: elimination plus grouped column echelon.
 
-    Returns None iff the instance is infeasible.  The result can be reused
-    to re-derive the press set cheaply (see solve_from_decomposition).
+    Returns (r, dec) with r the rank of the press-effect matrix; dec is
+    None iff the instance is infeasible.  dec can be reused to re-derive
+    the press set cheaply (see solve_from_decomposition).
     """
     a, b = build_system(inst)
-    res = solve(a, b)
+    r, res = solve(a, b)
     if res is None:
-        return None
+        return r, None
     gamma, null_basis = res
-    return column_echelon_grouped(null_basis, gamma)
+    return r, column_echelon_grouped(null_basis, gamma)
 
 
 def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
@@ -67,18 +68,16 @@ def unpermute(dec: EchelonDecomposition, u_permuted: BitVec) -> BitVec:
     return dec.perm.unapply(u_permuted)
 
 
-def compute_bounds(
-    dec: EchelonDecomposition, n: int, r: int
-) -> tuple[int, int, int, Fraction]:
-    """Forced-press counts over part 0 and the two weight bounds.
+def compute_bounds(dec: EchelonDecomposition, n: int) -> tuple[int, int, Fraction]:
+    """Forced-press counts over part 0 and the mixed weight bound.
 
-    Returns (g0, g1, r, (n + g1 - g0)/2) with the last kept as an exact
+    Returns (g0, g1, (n + g1 - g0)/2) with the last kept as an exact
     rational; it may be half-integral.
     """
     k0 = dec.parts[0]
     g1 = (dec.gamma_permuted.bits & ((1 << k0) - 1)).bit_count()
     g0 = k0 - g1
-    return g0, g1, r, Fraction(n + g1 - g0, 2)
+    return g0, g1, Fraction(n + g1 - g0, 2)
 
 
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
@@ -86,20 +85,19 @@ def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     z, u_permuted = greedy_assign(dec)
     press = unpermute(dec, u_permuted)
     n, m = dec.n, dec.m
-    r = n - m
-    g0, g1, _, _ = compute_bounds(dec, n, r)
-    cert = Certificate(r=r, m=m, g0=g0, g1=g1)
-    return Solution(press=press, weight=press.weight, certificate=cert)
+    g0, g1, _ = compute_bounds(dec, n)
+    cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)
+    return Solution(press=press, weight=press.weight, certificate=cert, decomposition=dec)
 
 
-def solve_approx(inst: Instance) -> Optional[Solution]:
+def solve_approx(inst: Instance) -> tuple[int, Optional[Solution]]:
     """Feasibility check plus an approximate minimum press set.
 
-    Returns None iff the instance has no solution at all.  Otherwise the
+    Returns (r, sol) with r the rank of the press-effect matrix; sol is
+    None iff the instance has no solution at all.  Otherwise its
     certificate carries r, m, g0, g1 (opt is left unset; see the exact
-    module for oracles that can fill it in).
+    module for oracles that can fill it in) and sol.decomposition is the
+    decomposition it was read from.
     """
-    dec = decompose(inst)
-    if dec is None:
-        return None
-    return solve_from_decomposition(dec)
+    r, dec = decompose(inst)
+    return r, None if dec is None else solve_from_decomposition(dec)

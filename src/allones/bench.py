@@ -12,9 +12,9 @@ import math
 import time
 from typing import Optional, Sequence
 
-from .approx import greedy_assign, decompose, solve_from_decomposition
+from .approx import solve_approx
 from .exact import exact_by_nullspace, exact_by_press_enumeration
-from .gf2 import mat_vec
+from .gf2 import mat_vec, solve
 from .instance_io import SplitMix64, gen_random_mixed
 from .lamps import build_system, is_all_on, simulate_presses
 
@@ -36,8 +36,7 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
     inst = gen_random_mixed(n, p, seed)
     violations: list[str] = []
     t0 = time.perf_counter()
-    dec = decompose(inst)
-    sol = solve_from_decomposition(dec) if dec is not None else None
+    _, sol = solve_approx(inst)
     solve_sec = time.perf_counter() - t0
     record = {
         "n": n,
@@ -55,7 +54,7 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
         if n <= oracle_limit and exact_by_press_enumeration(inst) is not None:
             violations.append("oracleAgreement")
         return record
-    assert dec is not None
+    dec = sol.decomposition
     cert = sol.certificate
     record["sol"] = sol.weight
     record["m"] = cert.m
@@ -66,7 +65,7 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
         violations.append("rankBound")
     if 2 * sol.weight > n + cert.g1 - cert.g0:
         violations.append("mixedBound")
-    _, u_permuted = greedy_assign(dec)
+    u_permuted = dec.perm.apply(sol.press)
     for i in range(1, dec.m + 1):
         part = dec.part_range(i)
         ones = sum(u_permuted[j] for j in part)
@@ -75,7 +74,7 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
             break
     if n <= oracle_limit:
         by_press = exact_by_press_enumeration(inst)
-        by_null = exact_by_nullspace(a, b)
+        by_null = exact_by_nullspace(*solve(a, b)[1])
         if by_press is None or by_null is None or by_press[0] != by_null[0]:
             violations.append("oracleAgreement")
         else:

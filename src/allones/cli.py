@@ -1,7 +1,7 @@
 """Command-line surface: solve, verify, gen, bench.
 
-Exit codes: 0 success/feasible, 2 infeasible (or lamps left off, or bench
-found violations), 1 usage or parse errors.  JSON output is byte-stable
+Exit codes: 0 success/feasible, 2 infeasible (or lamps left off), 1 usage
+or parse errors (or bench found violations).  JSON output is byte-stable
 for identical inputs and flags.
 """
 
@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .approx import solve_approx
 from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench, total_violations
-from .exact import exact_by_nullspace
-from .gf2 import BitVec, rank
+from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
+from .gf2 import BitVec
 from .instance_io import (
     ParseError,
     gen_complete,
@@ -29,7 +29,7 @@ from .instance_io import (
     parse_switch_string,
     render_instance,
 )
-from .lamps import Instance, build_system, is_all_on, simulate_presses
+from .lamps import Instance, is_all_on, simulate_presses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +57,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _parse_press(text: str, n: int) -> BitVec:
-    """Comma-separated vertex indices; '-' or '' is the empty press set."""
+    """Comma-separated distinct vertex indices; '-' or '' is the empty press set."""
     text = text.strip()
     if text in ("", "-"):
         return BitVec.zeros(n)
@@ -65,18 +65,20 @@ def _parse_press(text: str, n: int) -> BitVec:
         indices = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"press vector {text!r} is not a comma-separated index list")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"press vector {text!r} repeats an index")
     return BitVec.from_indices(n, indices)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.exact_limit > NULLSPACE_LIMIT:
+        return _fail(f"--exact-limit {args.exact_limit} exceeds {NULLSPACE_LIMIT}")
     try:
         inst = _load_instance(args.file)
     except (OSError, ParseError) as exc:
         return _fail(str(exc))
-    sol = solve_approx(inst)
+    r, sol = solve_approx(inst)
     if sol is None:
-        a, _ = build_system(inst)
-        r = rank(a)
         if args.output == "json":
             print(json.dumps({"feasible": False, "r": r, "m": inst.n - r}, indent=2))
         else:
@@ -84,12 +86,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"r: {r}")
             print(f"m: {inst.n - r}")
         return EXIT_INFEASIBLE
-    cert = sol.certificate
-    if cert.m <= args.exact_limit:
-        a, b = build_system(inst)
-        res = exact_by_nullspace(a, b, limit=args.exact_limit)
-        if res is not None:
-            sol = sol.with_opt(res[0])
+    if sol.certificate.m <= args.exact_limit:
+        # the grouped echelon form spans the same solution set up to a row
+        # permutation, so its minimum weight is opt
+        dec = sol.decomposition
+        sol = sol.with_opt(exact_by_nullspace(dec.gamma_permuted, dec.epsilon)[0])
     cert = sol.certificate
     mixed = sol.bound_mixed
     payload: dict = {
@@ -171,6 +172,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
         return _fail(f"--sizes {args.sizes!r} is not a comma-separated integer list")
+    if min(sizes) < 1:
+        return _fail(f"--sizes {args.sizes!r} lists a size below 1")
+    if args.trials < 1:
+        return _fail(f"--trials {args.trials} is below 1")
+    if args.oracle_limit > PRESS_LIMIT:
+        return _fail(f"--oracle-limit {args.oracle_limit} exceeds {PRESS_LIMIT}")
     try:
         workers = max(1, int(os.environ.get("ALLONES_THREADS", "1")))
     except ValueError:
@@ -204,7 +211,7 @@ def _build_parser() -> _Parser:
         default=DEFAULT_EXACT_LIMIT,
         metavar="M",
         help="also report the exact optimum when the system corank is at most M"
-        f" (default {DEFAULT_EXACT_LIMIT})",
+        f" (default {DEFAULT_EXACT_LIMIT}, at most {NULLSPACE_LIMIT})",
     )
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_solve)
@@ -232,7 +239,7 @@ def _build_parser() -> _Parser:
         default=DEFAULT_ORACLE_LIMIT,
         metavar="N",
         help="compare against the exact oracles when n is at most N"
-        f" (default {DEFAULT_ORACLE_LIMIT})",
+        f" (default {DEFAULT_ORACLE_LIMIT}, at most {PRESS_LIMIT})",
     )
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bench)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .gf2 import BitMat, BitVec, solve
+from .gf2 import BitMat, BitVec
 from .lamps import Instance
 
 NULLSPACE_LIMIT = 24
@@ -24,20 +24,18 @@ def _lex_less(a: int, b: int) -> bool:
 
 
 def exact_by_nullspace(
-    a: BitMat, b: BitVec, limit: int = NULLSPACE_LIMIT
+    gamma: BitVec, null_basis: BitMat, limit: int = NULLSPACE_LIMIT
 ) -> Optional[tuple[int, BitVec]]:
-    """Minimum-weight solution of a.u = b by walking the solution set.
+    """Minimum-weight vector of the affine set gamma + span(null_basis columns).
 
-    Enumerates all 2**m combinations of null-basis columns in Gray-code
-    order.  Returns (opt, argmin) where ties are broken by the
-    lexicographically smallest combination vector; returns None when the
-    system is inconsistent or when m exceeds ``limit`` (callers that need
-    to tell the two apart should check the corank first).
+    Pass the (gamma, null_basis) pair of gf2.solve to get the minimum-weight
+    solution of a.u = b.  Enumerates all 2**m combinations of null-basis
+    columns in Gray-code order.  Returns (opt, argmin) where ties are
+    broken by the lexicographically smallest combination vector; returns
+    None when m exceeds ``limit``.
     """
-    res = solve(a, b)
-    if res is None:
-        return None
-    gamma, null_basis = res
+    if gamma.n != null_basis.rows:
+        raise ValueError(f"gamma length {gamma.n} does not match {null_basis.rows} rows")
     m = null_basis.cols
     if m > limit:
         return None
@@ -54,7 +52,7 @@ def exact_by_nullspace(
         w = cur.bit_count()
         if w < best_w or (w == best_w and _lex_less(x, best_x)):
             best_w, best_x, best_u = w, x, cur
-    return best_w, BitVec(a.cols, best_u)
+    return best_w, BitVec(gamma.n, best_u)
 
 
 def exact_by_press_enumeration(

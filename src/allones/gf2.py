@@ -311,29 +311,40 @@ class EchelonDecomposition:
         )
 
 
-def rank(m: BitMat) -> int:
-    """GF(2) rank via row echelon elimination; the input is not mutated."""
-    rows = list(m.packed_rows)
+def _eliminate(rows: list[int], ncols: int) -> list[int]:
+    """Forward (row echelon) elimination of packed rows, in place.
+
+    For each column in ascending order, the first row at or below the
+    current pivot row with that bit set is swapped up and XORed into the
+    rows below it that also have the bit.  Returns the pivot columns; row k
+    then has bit pivots[k] as its lowest set bit, and rows past the last
+    pivot are zero.
+    """
     nrows = len(rows)
-    rk = 0
-    for c in range(m.cols):
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
         mask = 1 << c
-        piv = -1
-        for i in range(rk, nrows):
-            if rows[i] & mask:
-                piv = i
+        for piv in range(r, nrows):
+            if rows[piv] & mask:
                 break
-        if piv < 0:
+        else:
             continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        prow = rows[rk]
-        for i in range(rk + 1, nrows):
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(r + 1, nrows):
             if rows[i] & mask:
                 rows[i] ^= prow
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rank(m: BitMat) -> int:
+    """GF(2) rank via row echelon elimination; the input is not mutated."""
+    return len(_eliminate(list(m.packed_rows), m.cols))
 
 
 def mat_vec(m: BitMat, v: BitVec) -> BitVec:
@@ -348,15 +359,17 @@ def mat_vec(m: BitMat, v: BitVec) -> BitVec:
     return BitVec(m.rows, out)
 
 
-def solve(a: BitMat, b: BitVec) -> Optional[tuple[BitVec, BitMat]]:
-    """Solve a.u = b over GF(2).
+def solve(
+    a: BitMat, b: BitVec
+) -> tuple[int, Optional[tuple[BitVec, BitMat]]]:
+    """Solve a.u = b over GF(2) with one elimination of [a | b].
 
-    Returns (gamma, null_basis) for a consistent system, None otherwise.
-    gamma is the particular solution with every free variable set to zero;
-    null_basis is cols x m, its k-th column obtained by setting the k-th
-    free variable (ascending column order) to one and back-substituting.
-    A dimension mismatch raises ValueError; that is a contract violation,
-    not infeasibility.
+    Returns (r, res): r is the rank of a; res is (gamma, null_basis) for a
+    consistent system and None otherwise.  gamma is the particular solution
+    with every free variable set to zero; null_basis is cols x m, its k-th
+    column obtained by setting the k-th free variable (ascending column
+    order) to one and back-substituting.  A dimension mismatch raises
+    ValueError; that is a contract violation, not infeasibility.
     """
     if a.rows != b.n:
         raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
@@ -364,31 +377,18 @@ def solve(a: BitMat, b: BitVec) -> Optional[tuple[BitVec, BitMat]]:
     bmask = 1 << cols
     bbits = b.bits
     rows = [rb | (bmask if (bbits >> i) & 1 else 0) for i, rb in enumerate(a.packed_rows)]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        mask = 1 << c
-        piv = -1
-        for i in range(r, nrows):
+    pivots = _eliminate(rows, cols + 1)
+    # a pivot in the b column is a row "0 = 1"
+    if pivots and pivots[-1] == cols:
+        return len(pivots) - 1, None
+    # back-substitute to the reduced row echelon form, last pivot first, so
+    # a row XORed upwards is already clear in every later pivot column
+    for k in range(len(pivots) - 1, 0, -1):
+        mask = 1 << pivots[k]
+        prow = rows[k]
+        for i in range(k):
             if rows[i] & mask:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & mask:
                 rows[i] ^= prow
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # a surviving row can only be all-zero or "0 = 1"
-    for i in range(r, nrows):
-        if rows[i]:
-            return None
     gamma = 0
     for i, c in enumerate(pivots):
         if rows[i] & bmask:
@@ -405,7 +405,7 @@ def solve(a: BitMat, b: BitVec) -> Optional[tuple[BitVec, BitMat]]:
             if rows[i] & fmask:
                 basis_rows[c] |= 1 << k
         k += 1
-    return BitVec(cols, gamma), BitMat(cols, k, basis_rows)
+    return len(pivots), (BitVec(cols, gamma), BitMat(cols, k, basis_rows))
 
 
 def column_echelon_grouped(
@@ -430,25 +430,7 @@ def column_echelon_grouped(
             low = rb & -rb
             tcols[low.bit_length() - 1] |= 1 << i
             rb ^= low
-    rk = 0
-    for c in range(n):
-        mask = 1 << c
-        piv = -1
-        for j in range(rk, m):
-            if tcols[j] & mask:
-                piv = j
-                break
-        if piv < 0:
-            continue
-        tcols[rk], tcols[piv] = tcols[piv], tcols[rk]
-        prow = tcols[rk]
-        for j in range(rk + 1, m):
-            if tcols[j] & mask:
-                tcols[j] ^= prow
-        rk += 1
-        if rk == m:
-            break
-    if rk != m:
+    if len(_eliminate(tcols, n)) != m:
         raise ValueError("null basis does not have full column rank")
     eps_rows = [0] * n
     for j, cb in enumerate(tcols):

@@ -169,15 +169,6 @@ def render_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def _finish(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    switches: Optional[Sequence[SwitchType]],
-    initially_on: Optional[BitVec],
-) -> Instance:
-    return Instance(n, edges, switches, initially_on)
-
-
 def gen_path(
     n: int,
     *,
@@ -187,7 +178,7 @@ def gen_path(
     """Path 0-1-...-(n-1); defaults: all '+' switches, all lamps off."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _finish(n, [(v, v + 1) for v in range(n - 1)], switches, initially_on)
+    return Instance(n, [(v, v + 1) for v in range(n - 1)], switches, initially_on)
 
 
 def gen_cycle(
@@ -202,7 +193,7 @@ def gen_cycle(
     edges = [(v, v + 1) for v in range(n - 1)]
     if n > 2:
         edges.append((0, n - 1))
-    return _finish(n, edges, switches, initially_on)
+    return Instance(n, edges, switches, initially_on)
 
 
 def gen_complete(
@@ -214,7 +205,7 @@ def gen_complete(
     if n < 1:
         raise ValueError("n must be >= 1")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _finish(n, edges, switches, initially_on)
+    return Instance(n, edges, switches, initially_on)
 
 
 def gen_grid(
@@ -235,7 +226,7 @@ def gen_grid(
                 edges.append((v, v + 1))
             if y + 1 < h:
                 edges.append((v, v + w))
-    return _finish(w * h, edges, switches, initially_on)
+    return Instance(w * h, edges, switches, initially_on)
 
 
 def gen_random_gnp(
@@ -255,7 +246,7 @@ def gen_random_gnp(
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(p)
     ]
-    return _finish(n, edges, switches, initially_on)
+    return Instance(n, edges, switches, initially_on)
 
 
 def gen_random_tree(
@@ -270,7 +261,7 @@ def gen_random_tree(
         raise ValueError("n must be >= 1")
     rng = SplitMix64(seed)
     edges = [(rng.below(v), v) for v in range(1, n)]
-    return _finish(n, edges, switches, initially_on)
+    return Instance(n, edges, switches, initially_on)
 
 
 def gen_random_mixed(n: int, p: float, seed: int) -> Instance:

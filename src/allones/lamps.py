@@ -8,12 +8,12 @@ goal is a press set that leaves every lamp on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .gf2 import BitMat, BitVec
+from .gf2 import BitMat, BitVec, EchelonDecomposition
 
 
 class SwitchType(Enum):
@@ -122,11 +122,18 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Solution:
-    """A feasible press set with its certificate."""
+    """A feasible press set with its certificate.
+
+    decomposition, when set, is the grouped echelon form the press set was
+    read from; it takes no part in equality.
+    """
 
     press: BitVec
     weight: int
     certificate: Certificate
+    decomposition: Optional[EchelonDecomposition] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.weight != self.press.weight:
@@ -152,7 +159,7 @@ class Solution:
 
     def with_opt(self, opt: int) -> "Solution":
         """Attach an exact optimum (validates g1 <= opt <= weight)."""
-        return Solution(self.press, self.weight, replace(self.certificate, opt=opt))
+        return replace(self, certificate=replace(self.certificate, opt=opt))
 
 
 def build_system(inst: Instance) -> tuple[BitMat, BitVec]:

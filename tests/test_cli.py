@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from allones import approx, cli, gf2
 from allones.instance_io import gen_complete, gen_grid, render_instance
 
 FEASIBLE_KEYS = {
@@ -21,6 +22,13 @@ FEASIBLE_KEYS = {
     "boundMixedNumerator",
     "boundMixedDenominator",
 }
+
+
+def assert_clean_usage_error(res):
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
 
 
 def run_cli(*args, env_extra=None):
@@ -82,6 +90,34 @@ class TestSolve:
         payload = json.loads(res.stdout)
         assert payload == {"feasible": False, "r": 0, "m": 1}
 
+    def test_exact_limit_above_walk_limit_is_rejected(self, k2_file):
+        assert_clean_usage_error(run_cli("solve", k2_file, "--exact-limit", "25"))
+        assert run_cli("solve", k2_file, "--exact-limit", "24").returncode == 0
+
+    @pytest.mark.parametrize(
+        "fixture, code, kernel_calls", [("k2_file", 0, 2), ("infeasible_file", 2, 1)]
+    )
+    def test_one_elimination_per_solve(
+        self, request, monkeypatch, capsys, fixture, code, kernel_calls
+    ):
+        # one elimination of [A | b]; a feasible solve adds one forward pass
+        # over the transposed null basis for the grouped echelon form
+        path = request.getfixturevalue(fixture)
+        calls = {"solve": 0, "kernel": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(approx, "solve", counting("solve", approx.solve))
+        monkeypatch.setattr(gf2, "_eliminate", counting("kernel", gf2._eliminate))
+        assert cli.main(["solve", path, "--output", "json"]) == code
+        # the feasible case (m = 1) also ran the exact walk
+        assert ("opt" in json.loads(capsys.readouterr().out)) == (code == 0)
+        assert calls == {"solve": 1, "kernel": kernel_calls}
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ao"
         bad.write_text("allones 2\nswitches ++\non 00\ne 0 0\n")
@@ -116,6 +152,11 @@ class TestVerify:
     def test_out_of_range_index(self, k2_file):
         res = run_cli("verify", k2_file, "5")
         assert res.returncode == 1
+
+    def test_repeated_index_is_rejected(self, k2_file):
+        res = run_cli("verify", k2_file, "1,1")
+        assert_clean_usage_error(res)
+        assert "repeats" in res.stderr
 
 
 class TestGen:
@@ -178,6 +219,18 @@ class TestBench:
         one = json.loads(run_cli(*args).stdout)
         two = json.loads(run_cli(*args, env_extra={"ALLONES_THREADS": "2"}).stdout)
         assert one["results"] == two["results"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--sizes", "22", "--trials", "3", "--oracle-limit", "24"),
+            ("--sizes", "0"),
+            ("--sizes", "6,-1"),
+            ("--trials", "0"),
+        ],
+    )
+    def test_bad_flags_fail_cleanly(self, flags):
+        assert_clean_usage_error(run_cli("bench", *flags))
 
     def test_text_report(self):
         res = run_cli("bench", "--sizes", "6", "--trials", "3", "--seed", "1")

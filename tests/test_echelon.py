@@ -85,7 +85,7 @@ def test_structure_and_span_preserved_on_random_systems():
         n = rnd.randint(1, 24)
         a = BitMat(n, n, [rnd.getrandbits(n) for _ in range(n)])
         b = mat_vec(a, BitVec(n, rnd.getrandbits(n)))
-        gamma, eta = solve(a, b)
+        _, (gamma, eta) = solve(a, b)
         dec = column_echelon_grouped(eta, gamma)
         dec.check()
         assert dec.parts[-1] == n

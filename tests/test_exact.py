@@ -19,7 +19,7 @@ def test_unique_solution_system():
     # three isolated '+' vertices: m = 0, the only solution is gamma
     inst = Instance(3, [], initially_on=BitVec.from01("101"))
     a, b = build_system(inst)
-    opt, argmin = exact_by_nullspace(a, b)
+    opt, argmin = exact_by_nullspace(*solve(a, b)[1])
     assert (opt, argmin) == (1, BitVec.from01("010"))
     assert exact_by_press_enumeration(inst) == (1, BitVec.from01("010"))
 
@@ -27,7 +27,7 @@ def test_unique_solution_system():
 def test_triangle():
     inst = gen_complete(3)
     a, b = build_system(inst)
-    assert exact_by_nullspace(a, b)[0] == 1
+    assert exact_by_nullspace(*solve(a, b)[1])[0] == 1
     assert exact_by_press_enumeration(inst)[0] == 1
 
 
@@ -35,7 +35,7 @@ def test_grid_5x5_minimum_is_15():
     # frozen after confirming with the dense oracle (m = 2, four solutions)
     inst = gen_grid(5, 5)
     a, b = build_system(inst)
-    opt, argmin = exact_by_nullspace(a, b)
+    opt, argmin = exact_by_nullspace(*solve(a, b)[1])
     assert opt == 15
     assert argmin.weight == 15
     assert is_all_on(simulate_presses(inst, argmin))
@@ -54,8 +54,9 @@ def test_limits_refuse():
     # m = 3 > limit: three isolated '-' vertices with lamps already on
     inst = Instance(3, [], (MINUS,) * 3, BitVec.ones(3))
     a, b = build_system(inst)
-    assert exact_by_nullspace(a, b, limit=2) is None
-    assert exact_by_nullspace(a, b, limit=3) == (0, BitVec.zeros(3))
+    gamma, basis = solve(a, b)[1]
+    assert exact_by_nullspace(gamma, basis, limit=2) is None
+    assert exact_by_nullspace(gamma, basis, limit=3) == (0, BitVec.zeros(3))
     assert exact_by_press_enumeration(inst, limit=2) is None
 
 
@@ -65,12 +66,18 @@ def test_lexicographic_tie_breaks():
     inst = gen_complete(2)
     a, b = build_system(inst)
     assert exact_by_press_enumeration(inst) == (1, BitVec.from01("01"))
-    assert exact_by_nullspace(a, b) == (1, BitVec.from01("10"))
+    assert exact_by_nullspace(*solve(a, b)[1]) == (1, BitVec.from01("10"))
 
 
 def test_inconsistent_system_is_absent():
+    # no solution set to walk: solve reports the rank and no (gamma, basis)
     a = BitMat.from_lists([[0, 1], [0, 1]])
-    assert exact_by_nullspace(a, BitVec.from01("10")) is None
+    assert solve(a, BitVec.from01("10")) == (1, None)
+
+
+def test_mismatched_pair_is_rejected():
+    with pytest.raises(ValueError):
+        exact_by_nullspace(BitVec.zeros(2), BitMat.identity(3))
 
 
 def test_oracles_agree_with_each_other_and_brute_force():
@@ -79,9 +86,10 @@ def test_oracles_agree_with_each_other_and_brute_force():
     for trial in range(300):
         inst = random_instance(rnd, max_n=10)
         a, b = build_system(inst)
-        by_null = exact_by_nullspace(a, b)
+        _, lin = solve(a, b)
+        consistent = lin is not None
+        by_null = exact_by_nullspace(*lin) if consistent else None
         by_press = exact_by_press_enumeration(inst)
-        consistent = solve(a, b) is not None
         assert (by_null is not None) == consistent
         assert (by_press is not None) == consistent
         if not consistent:

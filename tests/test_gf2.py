@@ -110,20 +110,22 @@ class TestMatVec:
 class TestSolve:
     def test_rank_one_system(self):
         a = BitMat.from_lists([[1, 1], [1, 1]])
-        gamma, basis = solve(a, BitVec.from01("11"))
+        r, (gamma, basis) = solve(a, BitVec.from01("11"))
+        assert r == 1
         assert gamma == BitVec.from01("10")
         assert basis == BitMat.from_lists([[1], [1]])
         assert mat_vec(a, gamma) == BitVec.from01("11")
         assert mat_vec(a, gamma ^ basis.column(0)) == BitVec.from01("11")
 
     def test_identity_system(self):
-        gamma, basis = solve(BitMat.identity(3), BitVec.from01("101"))
+        r, (gamma, basis) = solve(BitMat.identity(3), BitVec.from01("101"))
+        assert r == 3
         assert gamma == BitVec.from01("101")
         assert basis.cols == 0
 
     def test_inconsistent(self):
         a = BitMat.from_lists([[0, 1], [0, 1]])
-        assert solve(a, BitVec.from01("10")) is None
+        assert solve(a, BitVec.from01("10")) == (1, None)
 
     def test_dimension_mismatch_is_not_infeasibility(self):
         with pytest.raises(ValueError):
@@ -141,14 +143,15 @@ class TestSolve:
                 b = mat_vec(a, BitVec(n, rnd.getrandbits(n)))
             else:
                 b = BitVec(n, rnd.getrandbits(n))
-            res = solve(a, b)
+            r, res = solve(a, b)
+            assert r == rank(a)
             if trial % 2:
                 assert res is not None, "a constructed-consistent system came back None"
             if res is None:
                 continue
             gamma, basis = res
             assert mat_vec(a, gamma) == b
-            assert basis.cols == n - rank(a)
+            assert basis.cols == n - r
             for j in range(basis.cols):
                 assert mat_vec(a, basis.column(j)) == BitVec.zeros(n)
             checked += 1
@@ -172,7 +175,7 @@ class TestSolve:
                     for i in range(n)
                 )
             }
-            res = solve(a, b)
+            _, res = solve(a, b)
             if res is None:
                 assert not found
                 continue
@@ -185,16 +188,25 @@ class TestSolve:
             assert span == found
 
     def test_agrees_with_dense_oracle(self):
+        # the rank solve reports must match the dense oracle on consistent
+        # and inconsistent systems alike
         rnd = random.Random(5)
+        inconsistent = 0
         for _ in range(200):
             n = rnd.randint(1, 10)
             entries = [[rnd.getrandbits(1) for _ in range(n)] for _ in range(n)]
             bvals = [rnd.getrandbits(1) for _ in range(n)]
-            mine = solve(BitMat.from_lists(entries), BitVec.from_bits(bvals))
+            r, mine = solve(BitMat.from_lists(entries), BitVec.from_bits(bvals))
             theirs = oracles.solve_f2(entries, bvals)
+            assert r == oracles.rank_f2(entries)
             assert (mine is None) == (theirs is None)
+            inconsistent += mine is None
             if mine is not None:
+                # both read gamma and the basis off the unique RREF
                 gamma, basis = mine
                 x0, obasis = theirs
                 assert gamma == BitVec.from_bits(int(v) for v in x0)
-                assert basis.cols == len(obasis)
+                assert [basis.column(j) for j in range(basis.cols)] == [
+                    BitVec.from_bits(int(v) for v in col) for col in obasis
+                ]
+        assert inconsistent >= 50
