@@ -7,37 +7,18 @@ press set whose size is provably at most min(r, (n + opt)/2), where r is
 the rank of the press-effect matrix and opt the true minimum.
 """
 
-from .approx import (
-    compute_bounds,
-    decompose,
-    greedy_assign,
-    solve_approx,
-    solve_from_decomposition,
-    unpermute,
-)
+from .approx import decompose, solve_approx, solve_from_decomposition
 from .exact import exact_by_nullspace, exact_by_press_enumeration
-from .gf2 import (
-    BitMat,
-    BitVec,
-    EchelonDecomposition,
-    RowPermutation,
-    column_echelon_grouped,
-    mat_vec,
-    rank,
-    solve,
-)
+from .gf2 import BitMat, BitVec, solve
 from .instance_io import (
     ParseError,
-    SplitMix64,
     gen_complete,
     gen_cycle,
     gen_grid,
     gen_path,
     gen_random_gnp,
-    gen_random_mixed,
     gen_random_tree,
     parse_instance,
-    parse_switch_string,
     render_instance,
 )
 from .lamps import (
@@ -56,16 +37,11 @@ __all__ = [
     "BitMat",
     "BitVec",
     "Certificate",
-    "EchelonDecomposition",
     "Instance",
     "ParseError",
-    "RowPermutation",
     "Solution",
-    "SplitMix64",
     "SwitchType",
     "build_system",
-    "column_echelon_grouped",
-    "compute_bounds",
     "decompose",
     "exact_by_nullspace",
     "exact_by_press_enumeration",
@@ -74,18 +50,12 @@ __all__ = [
     "gen_grid",
     "gen_path",
     "gen_random_gnp",
-    "gen_random_mixed",
     "gen_random_tree",
-    "greedy_assign",
     "is_all_on",
-    "mat_vec",
     "parse_instance",
-    "parse_switch_string",
-    "rank",
     "render_instance",
     "simulate_presses",
     "solve",
     "solve_approx",
     "solve_from_decomposition",
-    "unpermute",
 ]

@@ -9,7 +9,6 @@ guaranteed feasible with weight(u) <= r (system rank) and
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
@@ -68,16 +67,14 @@ def unpermute(dec: EchelonDecomposition, u_permuted: BitVec) -> BitVec:
     return dec.perm.unapply(u_permuted)
 
 
-def compute_bounds(dec: EchelonDecomposition, n: int) -> tuple[int, int, Fraction]:
-    """Forced-press counts over part 0 and the mixed weight bound.
+def compute_bounds(dec: EchelonDecomposition) -> tuple[int, int]:
+    """Forced non-presses and presses over part 0: (g0, g1).
 
-    Returns (g0, g1, (n + g1 - g0)/2) with the last kept as an exact
-    rational; it may be half-integral.
+    Solution.bound_mixed turns them into the bound (n + g1 - g0)/2.
     """
     k0 = dec.parts[0]
     g1 = (dec.gamma_permuted.bits & ((1 << k0) - 1)).bit_count()
-    g0 = k0 - g1
-    return g0, g1, Fraction(n + g1 - g0, 2)
+    return k0 - g1, g1
 
 
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
@@ -85,7 +82,7 @@ def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     z, u_permuted = greedy_assign(dec)
     press = unpermute(dec, u_permuted)
     n, m = dec.n, dec.m
-    g0, g1, _ = compute_bounds(dec, n)
+    g0, g1 = compute_bounds(dec)
     cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)
     return Solution(press=press, weight=press.weight, certificate=cert, decomposition=dec)
 

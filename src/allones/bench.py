@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .approx import solve_approx
 from .exact import exact_by_nullspace, exact_by_press_enumeration
-from .gf2 import mat_vec, solve
+from .gf2 import mat_vec
 from .instance_io import SplitMix64, gen_random_mixed
 from .lamps import build_system, is_all_on, simulate_presses
 
@@ -74,7 +74,8 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
             break
     if n <= oracle_limit:
         by_press = exact_by_press_enumeration(inst)
-        by_null = exact_by_nullspace(*solve(a, b)[1])
+        # the affine set the CLI walks: the solution set up to a row permutation
+        by_null = exact_by_nullspace(dec.gamma_permuted, dec.epsilon)
         if by_press is None or by_null is None or by_press[0] != by_null[0]:
             violations.append("oracleAgreement")
         else:

@@ -39,7 +39,7 @@ def exact_by_nullspace(
     m = null_basis.cols
     if m > limit:
         return None
-    cols = [null_basis.column(j).bits for j in range(m)]
+    cols = null_basis.transpose().packed_rows
     cur = gamma.bits
     best_w = cur.bit_count()
     best_x = 0
@@ -61,13 +61,13 @@ def exact_by_press_enumeration(
     """Minimum press set by trying all 2**n press patterns.
 
     Pure toggle arithmetic, no linear algebra.  Returns (opt, argmin) with
-    ties broken by the lexicographically smallest press vector; returns
-    None when no pattern lights every lamp, or when n exceeds ``limit``
-    (check n first if the distinction matters).
+    ties broken by the lexicographically smallest press vector, or None
+    when no pattern lights every lamp.  Raises ValueError when n exceeds
+    ``limit``.
     """
     n = inst.n
     if n > limit:
-        return None
+        raise ValueError(f"{n} vertices exceed the press enumeration limit {limit}")
     masks = inst.toggle_masks()
     target = (1 << n) - 1
     state = inst.initially_on.bits

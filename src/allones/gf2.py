@@ -154,9 +154,6 @@ class BitMat:
     def packed_rows(self) -> tuple[int, ...]:
         return self._rows
 
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self._rows[i])
-
     def column(self, j: int) -> BitVec:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
@@ -424,20 +421,10 @@ def column_echelon_grouped(
     if gamma.n != n:
         raise ValueError(f"gamma length {gamma.n} does not match {n} rows")
     # row echelon on the transpose == column transformation of the input
-    tcols = [0] * m
-    for i, rb in enumerate(null_basis.packed_rows):
-        while rb:
-            low = rb & -rb
-            tcols[low.bit_length() - 1] |= 1 << i
-            rb ^= low
+    tcols = list(null_basis.transpose().packed_rows)
     if len(_eliminate(tcols, n)) != m:
         raise ValueError("null basis does not have full column rank")
-    eps_rows = [0] * n
-    for j, cb in enumerate(tcols):
-        while cb:
-            low = cb & -cb
-            eps_rows[low.bit_length() - 1] |= 1 << j
-            cb ^= low
+    eps_rows = BitMat(m, n, tcols).transpose().packed_rows
     # stable sort by last nonzero column; bit_length is exactly that
     # column's 1-based index (0 for all-zero rows, which form part 0)
     order = sorted(range(n), key=lambda i: eps_rows[i].bit_length())

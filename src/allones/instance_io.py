@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .gf2 import BitVec
-from .lamps import Instance, SwitchType
+from .lamps import EdgeError, Instance, SwitchType
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,6 +54,8 @@ class SplitMix64:
 
     def bits(self, n: int) -> int:
         """n random bits packed into an int, 64 per draw, low bits first."""
+        if n < 0:
+            raise ValueError(f"bit count {n} is negative")
         out = 0
         filled = 0
         while filled < n:
@@ -136,26 +138,26 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(lineno, "state string may contain only '0' and '1'")
     initially_on = BitVec.from01(fields[1])
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines:
-        fields = line.split()
-        if fields[0] != "e" or len(fields) != 3:
-            raise ParseError(lineno, f"expected 'e <i> <j>', got {line!r}")
-        try:
-            i, j = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise ParseError(lineno, f"edge endpoints in {line!r} are not integers") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(lineno, f"edge ({i}, {j}) out of range for {n} vertices")
-        if i == j:
-            raise ParseError(lineno, f"self-loop at line {lineno}: e {i} {j}")
-        e = (i, j) if i < j else (j, i)
-        if e in seen:
-            raise ParseError(lineno, f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-        edges.append(e)
-    return Instance(n, edges, switches, initially_on)
+    # Instance validates the edges as it consumes them, so the first bad
+    # edge it reports is also the first bad line in file order
+    edge_lines: list[int] = []
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for lineno, line in lines:
+            fields = line.split()
+            if fields[0] != "e" or len(fields) != 3:
+                raise ParseError(lineno, f"expected 'e <i> <j>', got {line!r}")
+            try:
+                i, j = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError(lineno, f"edge endpoints in {line!r} are not integers") from None
+            edge_lines.append(lineno)
+            yield i, j
+
+    try:
+        return Instance(n, edges(), switches, initially_on)
+    except EdgeError as exc:
+        raise ParseError(edge_lines[exc.index], str(exc)) from None
 
 
 def render_instance(inst: Instance) -> str:
@@ -176,8 +178,6 @@ def gen_path(
     initially_on: Optional[BitVec] = None,
 ) -> Instance:
     """Path 0-1-...-(n-1); defaults: all '+' switches, all lamps off."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return Instance(n, [(v, v + 1) for v in range(n - 1)], switches, initially_on)
 
 
@@ -188,8 +188,6 @@ def gen_cycle(
     initially_on: Optional[BitVec] = None,
 ) -> Instance:
     """Cycle on n vertices (degenerates to a path for n <= 2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     edges = [(v, v + 1) for v in range(n - 1)]
     if n > 2:
         edges.append((0, n - 1))
@@ -202,8 +200,6 @@ def gen_complete(
     switches: Optional[Sequence[SwitchType]] = None,
     initially_on: Optional[BitVec] = None,
 ) -> Instance:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Instance(n, edges, switches, initially_on)
 
@@ -229,6 +225,13 @@ def gen_grid(
     return Instance(w * h, edges, switches, initially_on)
 
 
+def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
+    """One Bernoulli draw from rng per pair (i, j), i < j, in sorted order."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(p)]
+
+
 def gen_random_gnp(
     n: int,
     p: float,
@@ -238,15 +241,7 @@ def gen_random_gnp(
     initially_on: Optional[BitVec] = None,
 ) -> Instance:
     """G(n, p): one Bernoulli draw per pair (i, j), i < j, in sorted order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    rng = SplitMix64(seed)
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(p)
-    ]
-    return Instance(n, edges, switches, initially_on)
+    return Instance(n, _gnp_edges(n, p, SplitMix64(seed)), switches, initially_on)
 
 
 def gen_random_tree(
@@ -257,8 +252,6 @@ def gen_random_tree(
     initially_on: Optional[BitVec] = None,
 ) -> Instance:
     """Random recursive tree: vertex v >= 1 attaches to a uniform earlier vertex."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rng = SplitMix64(seed)
     edges = [(rng.below(v), v) for v in range(1, n)]
     return Instance(n, edges, switches, initially_on)
@@ -270,14 +263,8 @@ def gen_random_mixed(n: int, p: float, seed: int) -> Instance:
     Draw order: edges as in gen_random_gnp, then n switch bits (set bit =
     '-' switch), then n state bits.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
     rng = SplitMix64(seed)
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(p)
-    ]
+    edges = _gnp_edges(n, p, rng)
     sw_bits = rng.bits(n)
     switches = tuple(
         SwitchType.SIGMA if (sw_bits >> v) & 1 else SwitchType.SIGMA_PLUS

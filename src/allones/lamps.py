@@ -23,12 +23,21 @@ class SwitchType(Enum):
     SIGMA = "-"  # toggles the neighbors only
 
 
+class EdgeError(ValueError):
+    """An edge an instance cannot hold; ``index`` is its position in the input."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 class Instance:
     """A lamp-lighting instance: graph, switch types, initial lamp states.
 
     Edges are canonicalized to a sorted tuple of (min, max) pairs, so two
     instances describing the same graph compare equal.  Self-loops,
-    duplicate edges and out-of-range endpoints are rejected.
+    duplicate edges and out-of-range endpoints are rejected with an
+    EdgeError naming the first bad edge in input order.
     """
 
     __slots__ = ("n", "edges", "switches", "initially_on")
@@ -43,14 +52,14 @@ class Instance:
         if n < 1:
             raise ValueError("an instance needs at least one vertex")
         seen = set()
-        for i, j in edges:
+        for idx, (i, j) in enumerate(edges):
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
+                raise EdgeError(idx, f"edge ({i}, {j}) out of range for {n} vertices")
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise EdgeError(idx, f"self-loop at vertex {i}")
             e = (i, j) if i < j else (j, i)
             if e in seen:
-                raise ValueError(f"duplicate edge {e}")
+                raise EdgeError(idx, f"duplicate edge {e}")
             seen.add(e)
         if switches is None:
             switches = (SwitchType.SIGMA_PLUS,) * n

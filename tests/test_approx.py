@@ -162,13 +162,12 @@ class TestUnpermute:
 class TestComputeBounds:
     def test_empty_part_zero(self):
         dec = _dec(2, 1, [1, 1], (0, 2), 0b01)
-        assert compute_bounds(dec, 2) == (0, 0, Fraction(2, 2))
+        assert compute_bounds(dec) == (0, 0)
 
     def test_counts_forced_rows(self):
         dec = _dec(3, 0, [0, 0, 0], (3,), 0b100)  # part 0 gammas (0,0,1)
-        g0, g1, mixed = compute_bounds(dec, 3)
-        assert (g0, g1) == (2, 1)
-        assert mixed == Fraction(3 - 1, 2)
+        assert compute_bounds(dec) == (2, 1)
+        assert solve_from_decomposition(dec).bound_mixed == Fraction(3 - 1, 2)
 
     def test_solution_properties_expose_bounds(self):
         # 5x5 grid: the null space vanishes on five vertices whose forced

@@ -57,7 +57,8 @@ def test_limits_refuse():
     gamma, basis = solve(a, b)[1]
     assert exact_by_nullspace(gamma, basis, limit=2) is None
     assert exact_by_nullspace(gamma, basis, limit=3) == (0, BitVec.zeros(3))
-    assert exact_by_press_enumeration(inst, limit=2) is None
+    with pytest.raises(ValueError):
+        exact_by_press_enumeration(inst, limit=2)
 
 
 def test_lexicographic_tie_breaks():

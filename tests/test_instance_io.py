@@ -159,12 +159,25 @@ class TestGenerators:
         assert gen_random_mixed(12, 0.5, 99) == gen_random_mixed(12, 0.5, 99)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            gen_path(0)
+        for n in (0, -1):
+            for gen in (gen_path, gen_cycle, gen_complete):
+                with pytest.raises(ValueError):
+                    gen(n)
+            with pytest.raises(ValueError):
+                gen_random_gnp(n, 0.5, seed=0)
+            with pytest.raises(ValueError):
+                gen_random_tree(n, seed=0)
+            with pytest.raises(ValueError):
+                gen_random_mixed(n, 0.5, seed=0)
         with pytest.raises(ValueError):
             gen_grid(0, 3)
         with pytest.raises(ValueError):
-            gen_random_gnp(5, 1.5, seed=0)
+            gen_grid(-1, -1)
+        for gen in (gen_random_gnp, gen_random_mixed):
+            with pytest.raises(ValueError):
+                gen(5, 1.5, seed=0)
+            with pytest.raises(ValueError):
+                gen(1, -0.5, seed=0)
 
 
 class TestSplitMix64:
@@ -189,6 +202,8 @@ class TestSplitMix64:
         rng = SplitMix64(1)
         for n in (1, 63, 64, 65, 200):
             assert rng.bits(n) >> n == 0
+        with pytest.raises(ValueError, match="negative"):
+            rng.bits(-1)
 
 
 def test_parse_switch_string_rejects_garbage():

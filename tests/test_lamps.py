@@ -6,6 +6,7 @@ import pytest
 
 from allones.gf2 import BitMat, BitVec, mat_vec
 from allones.lamps import (
+    EdgeError,
     Instance,
     SwitchType,
     build_system,
@@ -20,16 +21,19 @@ MINUS = SwitchType.SIGMA
 
 class TestInstanceValidation:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Instance(3, [(1, 1)])
+        with pytest.raises(EdgeError, match="self-loop") as exc:
+            Instance(3, [(0, 1), (1, 1)])
+        assert exc.value.index == 1
 
     def test_rejects_duplicate_edge_even_flipped(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(EdgeError, match="duplicate") as exc:
             Instance(3, [(0, 1), (1, 0)])
+        assert exc.value.index == 1
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(EdgeError, match="out of range") as exc:
             Instance(3, [(0, 3)])
+        assert exc.value.index == 0
 
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):

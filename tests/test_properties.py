@@ -1,0 +1,81 @@
+"""Hypothesis properties of the text format and the random generators."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from allones.gf2 import BitVec
+from allones.instance_io import (
+    ParseError,
+    gen_random_gnp,
+    gen_random_mixed,
+    parse_instance,
+    render_instance,
+)
+from allones.lamps import Instance, SwitchType
+
+
+@st.composite
+def instances(draw, max_n=24):
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    switches = draw(st.lists(st.sampled_from(SwitchType), min_size=n, max_size=n))
+    on = draw(st.integers(0, (1 << n) - 1))
+    return Instance(n, edges, switches, BitVec(n, on))
+
+
+def _first_bad(n, edges):
+    """Index of the first out-of-range, self-loop or repeated edge, or None."""
+    seen = set()
+    for k, (i, j) in enumerate(edges):
+        e = (min(i, j), max(i, j))
+        if not (0 <= i < n and 0 <= j < n) or i == j or e in seen:
+            return k
+        seen.add(e)
+    return None
+
+
+@settings(deadline=None)
+@given(instances())
+def test_render_parse_round_trip(inst):
+    assert parse_instance(render_instance(inst)) == inst
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_first_bad_edge_line(data):
+    inst = data.draw(instances(max_n=10))
+    n = inst.n
+    edges = [data.draw(st.sampled_from([(i, j), (j, i)])) for i, j in inst.edges]
+    loops = st.integers(0, n - 1).map(lambda v: (v, v))
+    outside = st.tuples(st.integers(-3, n + 3), st.integers(-3, n + 3)).filter(
+        lambda e: not (0 <= e[0] < n and 0 <= e[1] < n)
+    )
+    bad_kinds = [loops, outside]
+    if edges:
+        bad_kinds.append(st.sampled_from(edges).map(lambda e: e[::-1]))
+    for bad in data.draw(st.lists(st.one_of(bad_kinds), min_size=1, max_size=4)):
+        edges.insert(data.draw(st.integers(0, len(edges))), bad)
+    # blank and comment lines between edges keep line numbers apart from
+    # edge positions
+    lines = render_instance(Instance(n, (), inst.switches, inst.initially_on)).splitlines()
+    edge_line = []
+    for i, j in edges:
+        lines.extend(data.draw(st.lists(st.sampled_from(["", "# note"]), max_size=2)))
+        lines.append(f"e {i} {j}")
+        edge_line.append(len(lines))
+    k = _first_bad(n, edges)
+    assert k is not None
+    with pytest.raises(ValueError) as by_instance:
+        Instance(n, edges)
+    with pytest.raises(ParseError) as by_parse:
+        parse_instance("\n".join(lines) + "\n")
+    assert by_parse.value.line == edge_line[k]
+    assert str(by_parse.value) == f"line {edge_line[k]}: {by_instance.value}"
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+def test_mixed_draws_its_edges_like_gnp(n, p, seed):
+    assert gen_random_mixed(n, p, seed).edges == gen_random_gnp(n, p, seed).edges
