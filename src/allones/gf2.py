@@ -4,6 +4,14 @@ Vectors and matrix rows are stored as Python ints (bit i = coordinate i),
 so a row update is a single word-parallel XOR no matter how wide the row
 is.  Everything is immutable from the caller's point of view: operations
 return fresh values and never touch their inputs.
+
+Two elimination kernels live here.  ``_basis`` inserts rows into a basis
+keyed by lowest set bit; ``rank`` counts its slots and ``solve``
+back-substitutes it to the reduced row echelon form, so their cost
+follows the fill of a sparse system rather than one scan of every row
+per pivot.  ``_eliminate`` is the Gaussian forward pass with row swaps;
+only ``column_echelon_grouped`` uses it, because the grouped echelon form
+(unlike the RREF) depends on how rows were combined.
 """
 
 from __future__ import annotations
@@ -308,6 +316,31 @@ class EchelonDecomposition:
         )
 
 
+def _basis(rows: Iterable[int], ncols: int) -> list[int]:
+    """Forward elimination into a basis keyed by lowest set bit.
+
+    Slot k of the result holds the row whose lowest set bit is column k-1
+    (slot 0 stays 0; 0 marks an empty slot).  Each input row is XORed with
+    the slot row of its current lowest bit until it lands in an empty slot
+    or cancels to zero, so a row only ever meets the rows that share its
+    leading columns: the cost is the fill, not a scan of every row per
+    pivot.  The filled slots span the row space of the input, and their
+    count is its rank.
+    """
+    # a list indexed by bit_length, not a dict keyed by the power of two:
+    # hashing a wide int costs O(words) per lookup
+    basis = [0] * (ncols + 1)
+    for row in rows:
+        while row:
+            k = (row & -row).bit_length()
+            piv = basis[k]
+            if not piv:
+                basis[k] = row
+                break
+            row ^= piv
+    return basis
+
+
 def _eliminate(rows: list[int], ncols: int) -> list[int]:
     """Forward (row echelon) elimination of packed rows, in place.
 
@@ -340,8 +373,8 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
 
 
 def rank(m: BitMat) -> int:
-    """GF(2) rank via row echelon elimination; the input is not mutated."""
-    return len(_eliminate(list(m.packed_rows), m.cols))
+    """GF(2) rank: the number of filled slots of the keyed basis."""
+    return sum(1 for row in _basis(m.packed_rows, m.cols) if row)
 
 
 def mat_vec(m: BitMat, v: BitVec) -> BitVec:
@@ -365,7 +398,9 @@ def solve(
     consistent system and None otherwise.  gamma is the particular solution
     with every free variable set to zero; null_basis is cols x m, its k-th
     column obtained by setting the k-th free variable (ascending column
-    order) to one and back-substituting.  A dimension mismatch raises
+    order) to one and back-substituting.  Both are read off the reduced row
+    echelon form, which is unique for the column order, so any correct
+    elimination gives the same result.  A dimension mismatch raises
     ValueError; that is a contract violation, not infeasibility.
     """
     if a.rows != b.n:
@@ -373,36 +408,57 @@ def solve(
     cols = a.cols
     bmask = 1 << cols
     bbits = b.bits
-    rows = [rb | (bmask if (bbits >> i) & 1 else 0) for i, rb in enumerate(a.packed_rows)]
-    pivots = _eliminate(rows, cols + 1)
-    # a pivot in the b column is a row "0 = 1"
-    if pivots and pivots[-1] == cols:
-        return len(pivots) - 1, None
-    # back-substitute to the reduced row echelon form, last pivot first, so
-    # a row XORed upwards is already clear in every later pivot column
-    for k in range(len(pivots) - 1, 0, -1):
-        mask = 1 << pivots[k]
-        prow = rows[k]
-        for i in range(k):
-            if rows[i] & mask:
-                rows[i] ^= prow
-    gamma = 0
-    for i, c in enumerate(pivots):
-        if rows[i] & bmask:
-            gamma |= 1 << c
-    pivot_set = set(pivots)
-    basis_rows = [0] * cols
-    k = 0
-    for f in range(cols):
-        if f in pivot_set:
+    basis = _basis(
+        (rb | bmask if (bbits >> i) & 1 else rb for i, rb in enumerate(a.packed_rows)),
+        cols + 1,
+    )
+    pivmask = 0
+    for k in range(1, cols + 1):
+        if basis[k]:
+            pivmask |= 1 << (k - 1)
+    r = pivmask.bit_count()
+    # a filled b slot is a row "0 = 1"
+    if basis[cols + 1]:
+        return r, None
+    # back-substitute to the reduced row echelon form, highest pivot first:
+    # a row with a higher pivot is already reduced, so it carries no pivot
+    # bit but its own, and XORing it in clears that bit without setting
+    # another one; only the pivot bits a row holds cost a step
+    for k in range(cols, 0, -1):
+        row = basis[k]
+        if not row:
             continue
-        basis_rows[f] |= 1 << k
-        fmask = 1 << f
-        for i, c in enumerate(pivots):
-            if rows[i] & fmask:
-                basis_rows[c] |= 1 << k
-        k += 1
-    return len(pivots), (BitVec(cols, gamma), BitMat(cols, k, basis_rows))
+        x = (row & pivmask) ^ (1 << (k - 1))
+        while x:
+            low = x & -x
+            row ^= basis[low.bit_length()]
+            x ^= low
+        basis[k] = row
+    # free column c is null-basis column index[c]
+    freemask = ((1 << cols) - 1) ^ pivmask
+    index = [0] * cols
+    basis_rows = [0] * cols
+    m = 0
+    for c in range(cols):
+        if not basis[c + 1]:
+            index[c] = m
+            basis_rows[c] = 1 << m
+            m += 1
+    gamma = 0
+    for k in range(1, cols + 1):
+        row = basis[k]
+        if not row:
+            continue
+        if row & bmask:
+            gamma |= 1 << (k - 1)
+        bits = 0
+        f = row & freemask
+        while f:
+            low = f & -f
+            bits |= 1 << index[low.bit_length() - 1]
+            f ^= low
+        basis_rows[k - 1] = bits
+    return r, (BitVec(cols, gamma), BitMat(cols, m, basis_rows))
 
 
 def column_echelon_grouped(
@@ -416,6 +472,13 @@ def column_echelon_grouped(
     grouping a stable row sort), so the affine solution sets
     {epsilon.z + gamma_permuted} and {input.x + gamma} coincide up to the
     recorded row permutation.
+
+    The reduction is the swapping forward pass of ``_eliminate``, not the
+    keyed basis ``solve`` uses.  Column echelon form is not unique:
+    greedy_assign reads epsilon's bits below each row's last set column,
+    and those bits depend on which rows were XORed into which.  A keyed
+    pass picks different ones and, on ties, a different press set of the
+    same weight, so the swapping pass is what keeps press sets stable.
     """
     n, m = null_basis.rows, null_basis.cols
     if gamma.n != n:

@@ -229,7 +229,10 @@ def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
     """One Bernoulli draw from rng per pair (i, j), i < j, in sorted order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(p)]
+    # the test of SplitMix64.chance, with its threshold computed once
+    threshold = int(p * 2.0**64)
+    draw = rng.next_u64
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < threshold]
 
 
 def gen_random_gnp(

@@ -51,6 +51,7 @@ class Instance:
     ) -> None:
         if n < 1:
             raise ValueError("an instance needs at least one vertex")
+        canon = []
         seen = set()
         for idx, (i, j) in enumerate(edges):
             if not (0 <= i < n and 0 <= j < n):
@@ -61,6 +62,7 @@ class Instance:
             if e in seen:
                 raise EdgeError(idx, f"duplicate edge {e}")
             seen.add(e)
+            canon.append(e)
         if switches is None:
             switches = (SwitchType.SIGMA_PLUS,) * n
         switches = tuple(switches)
@@ -75,7 +77,9 @@ class Instance:
                 f"initially_on has length {initially_on.n}, expected {n}"
             )
         self.n = n
-        self.edges = tuple(sorted(seen))
+        # sorting the list, not the set, keeps an already sorted input cheap
+        canon.sort()
+        self.edges = tuple(canon)
         self.switches = switches
         self.initially_on = initially_on
 

@@ -100,10 +100,11 @@ class TestSolve:
     def test_one_elimination_per_solve(
         self, request, monkeypatch, capsys, fixture, code, kernel_calls
     ):
-        # one elimination of [A | b]; a feasible solve adds one forward pass
-        # over the transposed null basis for the grouped echelon form
+        # one keyed-basis elimination of [A | b]; a feasible solve adds one
+        # swapping forward pass over the transposed null basis for the
+        # grouped echelon form
         path = request.getfixturevalue(fixture)
-        calls = {"solve": 0, "kernel": 0}
+        calls = {"solve": 0, "basis": 0, "eliminate": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -112,11 +113,12 @@ class TestSolve:
             return wrapped
 
         monkeypatch.setattr(approx, "solve", counting("solve", approx.solve))
-        monkeypatch.setattr(gf2, "_eliminate", counting("kernel", gf2._eliminate))
+        monkeypatch.setattr(gf2, "_basis", counting("basis", gf2._basis))
+        monkeypatch.setattr(gf2, "_eliminate", counting("eliminate", gf2._eliminate))
         assert cli.main(["solve", path, "--output", "json"]) == code
         # the feasible case (m = 1) also ran the exact walk
         assert ("opt" in json.loads(capsys.readouterr().out)) == (code == 0)
-        assert calls == {"solve": 1, "kernel": kernel_calls}
+        assert calls == {"solve": 1, "basis": 1, "eliminate": kernel_calls - 1}
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ao"

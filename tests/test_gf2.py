@@ -2,10 +2,55 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from allones.gf2 import BitMat, BitVec, mat_vec, rank, solve
+
+
+def _matches_oracle(a, b):
+    """Check solve's (r, gamma, null basis) and rank against the dense
+    numpy oracle; returns solve's result."""
+    entries = np.array(
+        [[(rb >> c) & 1 for c in range(a.cols)] for rb in a.packed_rows],
+        dtype=np.uint8,
+    ).reshape(a.rows, a.cols)
+    bvals = np.array([b[i] for i in range(b.n)], dtype=np.uint8)
+    r, mine = solve(a, b)
+    assert r == rank(a) == oracles.rank_f2(entries)
+    theirs = oracles.solve_f2(entries, bvals)
+    assert (mine is None) == (theirs is None)
+    if mine is not None:
+        # both read gamma and the basis off the unique RREF
+        gamma, basis = mine
+        x0, obasis = theirs
+        assert gamma == BitVec.from_bits(int(v) for v in x0)
+        assert (basis.rows, basis.cols) == (a.cols, len(obasis))
+        assert [basis.column(j) for j in range(basis.cols)] == [
+            BitVec.from_bits(int(v) for v in col) for col in obasis
+        ]
+    return r, mine
+
+
+def _graph_system(n, edges, sigma_plus, on):
+    """The oracle's press-effect system of a graph, packed."""
+    a, b = oracles.system_from_graph(n, edges, sigma_plus, on)
+    return BitMat.from_lists(a.tolist()), BitVec.from_bits(int(v) for v in b)
+
+
+@st.composite
+def sparse_systems(draw, max_dim=24):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    entries = st.lists(st.integers(0, cols - 1), max_size=3) if cols else st.just([])
+    packed = [
+        sum(1 << c for c in set(row))
+        for row in draw(st.lists(entries, min_size=rows, max_size=rows))
+    ]
+    return BitMat(rows, cols, packed), BitVec(rows, draw(st.integers(0, (1 << rows) - 1)))
 
 
 class TestBitVec:
@@ -194,19 +239,63 @@ class TestSolve:
         inconsistent = 0
         for _ in range(200):
             n = rnd.randint(1, 10)
-            entries = [[rnd.getrandbits(1) for _ in range(n)] for _ in range(n)]
-            bvals = [rnd.getrandbits(1) for _ in range(n)]
-            r, mine = solve(BitMat.from_lists(entries), BitVec.from_bits(bvals))
-            theirs = oracles.solve_f2(entries, bvals)
-            assert r == oracles.rank_f2(entries)
-            assert (mine is None) == (theirs is None)
+            a = BitMat(n, n, [rnd.getrandbits(n) for _ in range(n)])
+            _, mine = _matches_oracle(a, BitVec(n, rnd.getrandbits(n)))
             inconsistent += mine is None
-            if mine is not None:
-                # both read gamma and the basis off the unique RREF
-                gamma, basis = mine
-                x0, obasis = theirs
-                assert gamma == BitVec.from_bits(int(v) for v in x0)
-                assert [basis.column(j) for j in range(basis.cols)] == [
-                    BitVec.from_bits(int(v) for v in col) for col in obasis
-                ]
         assert inconsistent >= 50
+
+    @pytest.mark.parametrize("w, h, corank", [(4, 4, 4), (5, 5, 2)])
+    def test_classic_grids_against_oracle(self, w, h, corank):
+        n = w * h
+        r, res = _matches_oracle(
+            *_graph_system(n, oracles.grid_edges(w, h), [True] * n, [0] * n)
+        )
+        assert n - r == corank
+        assert res is not None
+
+    def test_graph_systems_against_oracle(self):
+        # sparse structured systems: the keyed basis meets few rows per
+        # insertion here, unlike the dense random systems above
+        rnd = random.Random(11)
+        graphs = [(w * h, oracles.grid_edges(w, h)) for w, h in
+                  [(4, 4), (5, 5), (1, 9), (3, 8), (9, 9), (14, 14)]]
+        for n in (1, 2, 7, 40, 120, 200):
+            graphs.append((n, [(i, i + 1) for i in range(n - 1)]))
+            graphs.append((n, [(rnd.randrange(v), v) for v in range(1, n)]))
+            if n >= 3:
+                graphs.append((n, [(i, (i + 1) % n) for i in range(n)]))
+        inconsistent = 0
+        for n, edges in graphs:
+            for _ in range(3):
+                sigma_plus = [bool(rnd.getrandbits(1)) for _ in range(n)]
+                on = [rnd.getrandbits(1) for _ in range(n)]
+                _, res = _matches_oracle(*_graph_system(n, edges, sigma_plus, on))
+                inconsistent += res is None
+        assert inconsistent >= 10
+
+    def test_rectangular_against_oracle(self):
+        rnd = random.Random(3)
+        for rows, cols in [(30, 8), (8, 30), (50, 1), (1, 50), (17, 16), (16, 17)]:
+            for density in (0.05, 0.3, 0.7):
+                a = BitMat(rows, cols, [
+                    sum(1 << c for c in range(cols) if rnd.random() < density)
+                    for _ in range(rows)
+                ])
+                _matches_oracle(a, BitVec(rows, rnd.getrandbits(rows)))
+                _matches_oracle(a, mat_vec(a, BitVec(cols, rnd.getrandbits(cols))))
+
+    def test_edge_cases_against_oracle(self):
+        # no unknowns: consistent exactly when b is zero
+        assert _matches_oracle(BitMat(3, 0, [0] * 3), BitVec(3, 0)) == (
+            0, (BitVec(0, 0), BitMat(0, 0, [])))
+        assert _matches_oracle(BitMat(3, 0, [0] * 3), BitVec(3, 0b100)) == (0, None)
+        # an all-zero a with a nonzero b has no solution
+        assert _matches_oracle(BitMat.zeros(4, 5), BitVec(4, 0b0010)) == (0, None)
+        r, (gamma, basis) = _matches_oracle(BitMat.zeros(4, 5), BitVec.zeros(4))
+        assert (r, gamma, basis) == (0, BitVec.zeros(5), BitMat.identity(5))
+
+
+@settings(deadline=None)
+@given(sparse_systems())
+def test_sparse_systems_match_oracle(system):
+    _matches_oracle(*system)

@@ -1,5 +1,6 @@
 """Text format round-trips, parse errors with line numbers, generators."""
 
+import hashlib
 import random
 
 import pytest
@@ -123,6 +124,16 @@ class TestGenerators:
         b = gen_random_gnp(50, 0.1, seed=7)
         assert a == b
         assert a != gen_random_gnp(50, 0.1, seed=8)
+
+    def test_gnp_draws_are_pinned(self):
+        # seeded fixtures and benchmark inputs depend on this exact draw
+        # order: one u64 per pair, compared against int(p * 2**64)
+        edges = gen_random_gnp(60, 0.1, seed=7).edges
+        assert len(edges) == 176
+        assert edges[:4] == ((0, 2), (0, 27), (0, 32), (0, 37))
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == (
+            "8bc8c9dfe1a5e31eb7b1ccf73897f7498bd077ef92a025de68b381d25e48d562"
+        )
 
     def test_gnp_extremes(self):
         assert gen_random_gnp(10, 0.0, seed=1).edges == ()

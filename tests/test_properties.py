@@ -79,3 +79,16 @@ def test_first_bad_edge_line(data):
 @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
 def test_mixed_draws_its_edges_like_gnp(n, p, seed):
     assert gen_random_mixed(n, p, seed).edges == gen_random_gnp(n, p, seed).edges
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_instance_sorts_canonical_edges(data):
+    n = data.draw(st.integers(1, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    canonical = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [
+        data.draw(st.sampled_from([e, e[::-1]]))
+        for e in data.draw(st.permutations(canonical))
+    ]
+    assert Instance(n, edges).edges == tuple(sorted(canonical))
