@@ -1,8 +1,8 @@
 """Approximate minimum press sets via the grouped-echelon greedy.
 
 The pipeline: build the GF(2) system, solve it, column-reduce the null
-basis with rows grouped by last nonzero column, then fix one free
-coordinate per group by majority vote.  The returned press set u is
+basis and group the vertices by their last nonzero column, then fix one
+free coordinate per group by majority vote.  The returned press set u is
 guaranteed feasible with weight(u) <= r (system rank) and
 2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.
 """
@@ -31,40 +31,25 @@ def decompose(inst: Instance) -> tuple[int, Optional[EchelonDecomposition]]:
 
 
 def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
-    """Majority-vote free coordinates, one per part, in part order.
+    """Majority-vote free coordinates, one per part, in column order.
 
-    For part i the mismatch count cnt (rows whose accumulated prefix bit
-    differs from gamma) is what the press weight in the part would be with
-    z_i = 0; z_i = 1 flips the whole part.  Ties keep z_i = 0.  Returns
-    (z, u_permuted) with u_permuted = epsilon.z + gamma_permuted; part 0 of
-    u_permuted is gamma_permuted verbatim.
+    acc holds epsilon.z over the coordinates fixed so far.  Column k is the
+    last column that touches part k+1, so once z_k is fixed the press bits
+    acc ^ gamma on that part are final: their count with z_k = 0 is the
+    part's press weight, and z_k = 1 flips the whole part.  Ties keep
+    z_k = 0.  Returns (z, u) with u = epsilon.z + gamma in vertex order;
+    on part 0, u is gamma.
     """
-    rows = dec.epsilon.packed_rows
-    g = dec.gamma_permuted.bits
+    g = dec.gamma.bits
     parts = dec.parts
-    m = dec.m
+    acc = 0
     z = 0
-    u = g & ((1 << parts[0]) - 1)
-    for i in range(1, m + 1):
-        lo, hi = parts[i - 1], parts[i]
-        # prefix bit for row j is parity(row & z): z only holds bits < i-1
-        # here, and row bits >= i are clear, so each packed row is read once
-        mis = 0
-        for j in range(lo, hi):
-            if ((rows[j] & z).bit_count() & 1) != ((g >> j) & 1):
-                mis |= 1 << j
-        cnt = mis.bit_count()
-        if 2 * cnt <= hi - lo:
-            u |= mis
-        else:
-            z |= 1 << (i - 1)
-            u |= ~mis & ((1 << hi) - (1 << lo))
-    return BitVec(m, z), BitVec(dec.n, u)
-
-
-def unpermute(dec: EchelonDecomposition, u_permuted: BitVec) -> BitVec:
-    """Map a grouped-order vector back to original vertex order."""
-    return dec.perm.unapply(u_permuted)
+    for k, col in enumerate(dec.columns):
+        part = parts[k + 1]
+        if 2 * ((acc ^ g) & part).bit_count() > part.bit_count():
+            z |= 1 << k
+            acc ^= col
+    return BitVec(dec.m, z), BitVec(dec.n, acc ^ g)
 
 
 def compute_bounds(dec: EchelonDecomposition) -> tuple[int, int]:
@@ -72,15 +57,14 @@ def compute_bounds(dec: EchelonDecomposition) -> tuple[int, int]:
 
     Solution.bound_mixed turns them into the bound (n + g1 - g0)/2.
     """
-    k0 = dec.parts[0]
-    g1 = (dec.gamma_permuted.bits & ((1 << k0) - 1)).bit_count()
-    return k0 - g1, g1
+    part0 = dec.parts[0]
+    g1 = (dec.gamma.bits & part0).bit_count()
+    return part0.bit_count() - g1, g1
 
 
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
-    """Re-derive the press set from a cached decomposition (O(mn) part)."""
-    z, u_permuted = greedy_assign(dec)
-    press = unpermute(dec, u_permuted)
+    """Re-derive the press set from a cached decomposition (O(m) mask operations)."""
+    _, press = greedy_assign(dec)
     n, m = dec.n, dec.m
     g0, g1 = compute_bounds(dec)
     cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)

@@ -65,17 +65,15 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
         violations.append("rankBound")
     if 2 * sol.weight > n + cert.g1 - cert.g0:
         violations.append("mixedBound")
-    u_permuted = dec.perm.apply(sol.press)
-    for i in range(1, dec.m + 1):
-        part = dec.part_range(i)
-        ones = sum(u_permuted[j] for j in part)
-        if 2 * ones > len(part):
+    press = sol.press.bits
+    for part in dec.parts[1:]:
+        if 2 * (press & part).bit_count() > part.bit_count():
             violations.append("partBound")
             break
     if n <= oracle_limit:
         by_press = exact_by_press_enumeration(inst)
-        # the affine set the CLI walks: the solution set up to a row permutation
-        by_null = exact_by_nullspace(dec.gamma_permuted, dec.epsilon)
+        # the affine set the CLI walks: the solution set of the system
+        by_null = exact_by_nullspace(dec.gamma, dec.epsilon())
         if by_press is None or by_null is None or by_press[0] != by_null[0]:
             violations.append("oracleAgreement")
         else:

@@ -75,7 +75,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return _fail(f"--exact-limit {args.exact_limit} exceeds {NULLSPACE_LIMIT}")
     try:
         inst = _load_instance(args.file)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         return _fail(str(exc))
     r, sol = solve_approx(inst)
     if sol is None:
@@ -87,10 +87,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"m: {inst.n - r}")
         return EXIT_INFEASIBLE
     if sol.certificate.m <= args.exact_limit:
-        # the grouped echelon form spans the same solution set up to a row
-        # permutation, so its minimum weight is opt
+        # the echelon form spans the same solution set, so its minimum
+        # weight is opt
         dec = sol.decomposition
-        sol = sol.with_opt(exact_by_nullspace(dec.gamma_permuted, dec.epsilon)[0])
+        sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.epsilon())[0])
     cert = sol.certificate
     mixed = sol.bound_mixed
     payload: dict = {

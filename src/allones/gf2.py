@@ -11,7 +11,10 @@ back-substitutes it to the reduced row echelon form, so their cost
 follows the fill of a sparse system rather than one scan of every row
 per pivot.  ``_eliminate`` is the Gaussian forward pass with row swaps;
 only ``column_echelon_grouped`` uses it, because the grouped echelon form
-(unlike the RREF) depends on how rows were combined.
+(unlike the RREF) depends on how rows were combined.  That form
+(``EchelonDecomposition``) is kept column-major in vertex order: its
+columns are the rows ``_eliminate`` leaves on the transposed null basis,
+and its parts are vertex masks, so no row is sorted or permuted.
 """
 
 from __future__ import annotations
@@ -196,124 +199,54 @@ class BitMat:
         return f"BitMat({self.rows}x{self.cols})"
 
 
-class RowPermutation:
-    """Bijection on row indices; ``forward[i]`` is where row i moves to."""
-
-    __slots__ = ("forward", "_inverse")
-
-    def __init__(self, forward: Sequence[int]) -> None:
-        fwd = tuple(forward)
-        inv = [-1] * len(fwd)
-        for i, f in enumerate(fwd):
-            if not 0 <= f < len(fwd) or inv[f] != -1:
-                raise ValueError("forward map is not a permutation")
-            inv[f] = i
-        self.forward = fwd
-        self._inverse = tuple(inv)
-
-    @classmethod
-    def identity(cls, n: int) -> "RowPermutation":
-        return cls(range(n))
-
-    def apply(self, v: BitVec) -> BitVec:
-        """Reorder coordinates: result[forward[i]] = v[i]."""
-        if v.n != len(self.forward):
-            raise ValueError(f"length mismatch: {v.n} vs {len(self.forward)}")
-        out = 0
-        bits = v.bits
-        while bits:
-            low = bits & -bits
-            out |= 1 << self.forward[low.bit_length() - 1]
-            bits ^= low
-        return BitVec(v.n, out)
-
-    def unapply(self, v: BitVec) -> BitVec:
-        """Inverse of :meth:`apply`."""
-        if v.n != len(self.forward):
-            raise ValueError(f"length mismatch: {v.n} vs {len(self.forward)}")
-        out = 0
-        bits = v.bits
-        while bits:
-            low = bits & -bits
-            out |= 1 << self._inverse[low.bit_length() - 1]
-            bits ^= low
-        return BitVec(v.n, out)
-
-    def __len__(self) -> int:
-        return len(self.forward)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RowPermutation) and self.forward == other.forward
-
-    def __hash__(self) -> int:
-        return hash(self.forward)
-
-    def __repr__(self) -> str:
-        return f"RowPermutation({list(self.forward)})"
-
-
 class EchelonDecomposition:
-    """Column echelon form with rows grouped by last nonzero column.
+    """Column echelon form of a null basis, stored column-major in vertex order.
 
-    ``epsilon`` is n x m; ``parts[i]`` is the end (exclusive) of part i in
-    grouped row order.  Part 0 (rows [0, parts[0])) is all-zero; every row
-    of part i >= 1 has bit i-1 set and bits i..m-1 clear, so parts[m] == n.
-    ``perm`` maps original row indices to grouped positions and
-    ``gamma_permuted`` is the particular solution in grouped order.
+    ``columns[k]`` is column k of epsilon (n x m), packed over the n
+    vertices, and ``gamma`` is the particular solution.  Vertex v lies in
+    part i >= 1 when its last nonzero column is i-1, and in part 0 when no
+    column touches it; ``parts[i]`` is part i as a vertex mask, so the parts
+    partition the vertices.  In echelon form every part i >= 1 is nonempty.
     """
 
-    __slots__ = ("epsilon", "perm", "parts", "gamma_permuted")
+    __slots__ = ("columns", "parts", "gamma")
 
-    def __init__(
-        self,
-        epsilon: BitMat,
-        perm: RowPermutation,
-        parts: Sequence[int],
-        gamma_permuted: BitVec,
-    ) -> None:
-        parts = tuple(parts)
-        n, m = epsilon.rows, epsilon.cols
-        if len(perm) != n or gamma_permuted.n != n:
-            raise ValueError("permutation/gamma length does not match epsilon rows")
-        if len(parts) != m + 1 or (parts and parts[-1] != n):
-            raise ValueError("parts must list m+1 end indices with the last == n")
-        if any(parts[i] > parts[i + 1] for i in range(m)):
-            raise ValueError("part boundaries must be nondecreasing")
-        self.epsilon = epsilon
-        self.perm = perm
-        self.parts = parts
-        self.gamma_permuted = gamma_permuted
+    def __init__(self, columns: Sequence[int], gamma: BitVec) -> None:
+        n = gamma.n
+        columns = tuple(columns)
+        if any(c < 0 or c >> n for c in columns):
+            raise ValueError(f"a column does not fit in {n} vertices")
+        # suffix OR: a vertex belongs to the last column that touches it
+        parts = [0] * (len(columns) + 1)
+        later = 0
+        for k in range(len(columns) - 1, -1, -1):
+            parts[k + 1] = columns[k] & ~later
+            later |= columns[k]
+        parts[0] = ((1 << n) - 1) & ~later
+        self.columns = columns
+        self.parts = tuple(parts)
+        self.gamma = gamma
 
     @property
     def n(self) -> int:
-        return self.epsilon.rows
+        return self.gamma.n
 
     @property
     def m(self) -> int:
-        return self.epsilon.cols
+        return len(self.columns)
 
-    def part_range(self, i: int) -> range:
-        """Grouped row indices of part i (0 = the all-zero part)."""
-        start = 0 if i == 0 else self.parts[i - 1]
-        return range(start, self.parts[i])
+    def epsilon(self) -> BitMat:
+        """The n x m matrix whose columns are ``columns``."""
+        return BitMat(self.m, self.n, self.columns).transpose()
 
     def check(self) -> None:
-        """Raise AssertionError unless the grouped-echelon shape holds."""
-        rows = self.epsilon.packed_rows
-        for i in range(self.m + 1):
-            for j in self.part_range(i):
-                # bit_length == i <=> bit i-1 set and all higher bits clear
-                assert rows[j].bit_length() == i, (
-                    f"row {j} (part {i}) has last nonzero column "
-                    f"{rows[j].bit_length()}"
-                )
-            if i >= 1:
-                assert len(self.part_range(i)) >= 1, f"part {i} is empty"
+        """Raise AssertionError unless every part i >= 1 is nonempty."""
+        for i in range(1, self.m + 1):
+            assert self.parts[i], f"part {i} is empty"
 
     def __repr__(self) -> str:
-        return (
-            f"EchelonDecomposition(n={self.n}, m={self.m}, parts={list(self.parts)})"
-        )
+        sizes = [part.bit_count() for part in self.parts]
+        return f"EchelonDecomposition(n={self.n}, m={self.m}, part_sizes={sizes})"
 
 
 def _basis(rows: Iterable[int], ncols: int) -> list[int]:
@@ -464,44 +397,29 @@ def solve(
 def column_echelon_grouped(
     null_basis: BitMat, gamma: BitVec
 ) -> EchelonDecomposition:
-    """Column-reduce a full-column-rank matrix and group rows by their last
-    nonzero column.
+    """Column-reduce a full-column-rank matrix and group its rows by their
+    last nonzero column.
 
-    The result spans the same column space as the row-permuted input (the
-    reduction is a right-multiplication by an invertible matrix, the
-    grouping a stable row sort), so the affine solution sets
-    {epsilon.z + gamma_permuted} and {input.x + gamma} coincide up to the
-    recorded row permutation.
+    The reduction is a right-multiplication by an invertible matrix, so the
+    result spans the same column space and the affine solution sets
+    {epsilon.z + gamma} and {input.x + gamma} coincide.  The grouping is a
+    partition of the vertices (``EchelonDecomposition.parts``); no row is
+    moved.
 
     The reduction is the swapping forward pass of ``_eliminate``, not the
     keyed basis ``solve`` uses.  Column echelon form is not unique:
-    greedy_assign reads epsilon's bits below each row's last set column,
-    and those bits depend on which rows were XORed into which.  A keyed
-    pass picks different ones and, on ties, a different press set of the
-    same weight, so the swapping pass is what keeps press sets stable.
+    greedy_assign reads epsilon's bits in the columns before each vertex's
+    last set column, and those bits depend on which rows were XORed into
+    which.  A keyed pass picks different ones and, on ties, a different
+    press set of the same weight, so the swapping pass is what keeps press
+    sets stable.
     """
     n, m = null_basis.rows, null_basis.cols
     if gamma.n != n:
         raise ValueError(f"gamma length {gamma.n} does not match {n} rows")
-    # row echelon on the transpose == column transformation of the input
-    tcols = list(null_basis.transpose().packed_rows)
-    if len(_eliminate(tcols, n)) != m:
+    # row echelon on the transpose == column transformation of the input;
+    # its rows are epsilon's columns
+    columns = list(null_basis.transpose().packed_rows)
+    if len(_eliminate(columns, n)) != m:
         raise ValueError("null basis does not have full column rank")
-    eps_rows = BitMat(m, n, tcols).transpose().packed_rows
-    # stable sort by last nonzero column; bit_length is exactly that
-    # column's 1-based index (0 for all-zero rows, which form part 0)
-    order = sorted(range(n), key=lambda i: eps_rows[i].bit_length())
-    forward = [0] * n
-    for pos, orig in enumerate(order):
-        forward[orig] = pos
-    counts = [0] * (m + 1)
-    for rb in eps_rows:
-        counts[rb.bit_length()] += 1
-    parts = [0] * (m + 1)
-    acc = 0
-    for i in range(m + 1):
-        acc += counts[i]
-        parts[i] = acc
-    perm = RowPermutation(forward)
-    epsilon = BitMat(n, m, [eps_rows[orig] for orig in order])
-    return EchelonDecomposition(epsilon, perm, parts, perm.apply(gamma))
+    return EchelonDecomposition(columns, gamma)

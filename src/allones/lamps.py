@@ -137,8 +137,9 @@ class Certificate:
 class Solution:
     """A feasible press set with its certificate.
 
-    decomposition, when set, is the grouped echelon form the press set was
-    read from; it takes no part in equality.
+    decomposition, when set, is the echelon decomposition (columns, parts
+    and gamma, all in vertex order) the press set was read from; it takes
+    no part in equality.
     """
 
     press: BitVec

@@ -132,6 +132,13 @@ class TestSolve:
         assert res.returncode == 1
         assert res.stderr
 
+    @pytest.mark.parametrize("argv", [["solve"], ["verify", "-"]], ids=["solve", "verify"])
+    def test_non_utf8_file_fails_cleanly(self, tmp_path, argv):
+        bad = tmp_path / "bad.ao"
+        bad.write_bytes(b"\xff")
+        res = run_cli(argv[0], str(bad), *argv[1:])
+        assert_clean_usage_error(res)
+
 
 class TestVerify:
     def test_correct_press(self, k2_file):

@@ -1,4 +1,4 @@
-"""Grouped column-echelon decomposition: structure, span and weight checks."""
+"""Grouped column-echelon decomposition: structure and span checks."""
 
 import random
 
@@ -7,10 +7,8 @@ import pytest
 from allones.gf2 import (
     BitMat,
     BitVec,
-    RowPermutation,
     column_echelon_grouped,
     mat_vec,
-    rank,
     solve,
 )
 
@@ -25,10 +23,9 @@ def affine_set(columns, gamma_bits):
 
 def test_single_column_already_echelon():
     dec = column_echelon_grouped(BitMat(2, 1, [1, 1]), BitVec.from01("10"))
-    assert dec.epsilon.packed_rows == (1, 1)
-    assert dec.parts == (0, 2)
-    assert dec.perm == RowPermutation.identity(2)
-    assert dec.gamma_permuted == BitVec.from01("10")
+    assert dec.columns == (0b11,)
+    assert dec.parts == (0, 0b11)
+    assert dec.gamma == BitVec.from01("10")
     dec.check()
 
 
@@ -36,8 +33,8 @@ def test_empty_basis_is_all_part_zero():
     gamma = BitVec.from01("011")
     dec = column_echelon_grouped(BitMat(3, 0, [0, 0, 0]), gamma)
     assert dec.m == 0
-    assert dec.parts == (3,)
-    assert dec.gamma_permuted == gamma
+    assert dec.parts == (0b111,)
+    assert dec.gamma == gamma
     dec.check()
 
 
@@ -48,22 +45,19 @@ def test_two_column_grouping():
     gamma = BitVec.zeros(4)
     dec = column_echelon_grouped(basis, gamma)
     dec.check()
-    assert dec.parts == (0, 2, 4)
-    eps_cols = [dec.epsilon.column(j).bits for j in range(2)]
+    assert dec.parts == (0, 0b0011, 0b1100)
     before = affine_set([basis.column(j).bits for j in range(2)], 0)
-    after = {dec.perm.unapply(BitVec(4, v)).bits for v in affine_set(eps_cols, 0)}
-    assert before == after
+    assert affine_set(dec.columns, 0) == before
 
 
 def test_rows_between_pivots_keep_their_group():
-    # row 1 is all-zero and must migrate into part 0 ahead of the rest
+    # vertex 1 has an all-zero row, so it alone is part 0; no row moves
     basis = BitMat.from_lists([[1, 0], [0, 0], [1, 1], [0, 1]])
     dec = column_echelon_grouped(basis, BitVec.from01("0111"))
     dec.check()
-    assert dec.parts[0] == 1
-    assert dec.perm.forward[1] == 0
-    # gamma travels with its rows
-    assert dec.gamma_permuted == dec.perm.apply(BitVec.from01("0111"))
+    assert dec.parts == (0b0010, 0b0001, 0b1100)
+    # gamma stays in vertex order
+    assert dec.gamma == BitVec.from01("0111")
 
 
 def test_rejects_column_rank_deficiency():
@@ -77,8 +71,9 @@ def test_rejects_gamma_length_mismatch():
 
 
 def test_structure_and_span_preserved_on_random_systems():
-    # the decomposition must parametrize the same affine solution set, with
-    # the same weight multiset, as the raw (eta, gamma) pair
+    # the decomposition must parametrize the same affine solution set as
+    # the raw (eta, gamma) pair, and part i must hold exactly the vertices
+    # whose epsilon row has its last set bit at column i-1
     rnd = random.Random(424242)
     done = 0
     while done < 200:
@@ -88,31 +83,12 @@ def test_structure_and_span_preserved_on_random_systems():
         _, (gamma, eta) = solve(a, b)
         dec = column_echelon_grouped(eta, gamma)
         dec.check()
-        assert dec.parts[-1] == n
-        assert dec.gamma_permuted == dec.perm.apply(gamma)
+        assert dec.gamma == gamma
+        rows = dec.epsilon().packed_rows
+        assert [sum(1 << v for v in range(n) if rows[v].bit_length() == i)
+                for i in range(dec.m + 1)] == list(dec.parts)
         if eta.cols > 10:
             continue
         eta_cols = [eta.column(j).bits for j in range(eta.cols)]
-        eps_cols = [dec.epsilon.column(j).bits for j in range(dec.m)]
-        before = affine_set(eta_cols, gamma.bits)
-        after_perm = affine_set(eps_cols, dec.gamma_permuted.bits)
-        after = {dec.perm.unapply(BitVec(n, v)).bits for v in after_perm}
-        assert before == after
-        assert sorted(v.bit_count() for v in before) == sorted(
-            v.bit_count() for v in after_perm
-        )
+        assert affine_set(eta_cols, gamma.bits) == affine_set(dec.columns, gamma.bits)
         done += 1
-
-
-def test_row_permutation_contracts():
-    rnd = random.Random(3)
-    with pytest.raises(ValueError):
-        RowPermutation([0, 0, 2])
-    for _ in range(50):
-        n = rnd.randint(1, 32)
-        fwd = list(range(n))
-        rnd.shuffle(fwd)
-        perm = RowPermutation(fwd)
-        v = BitVec(n, rnd.getrandbits(n))
-        assert perm.unapply(perm.apply(v)) == v
-        assert perm.apply(perm.unapply(v)) == v
