@@ -31,11 +31,11 @@ def decompose(inst: Instance) -> tuple[int, Optional[EchelonDecomposition]]:
 
 
 def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
-    """Majority-vote free coordinates, one per part, in column order.
+    """Majority-vote free coordinates, one per part, in basis order.
 
-    acc holds epsilon.z over the coordinates fixed so far.  Column k is the
-    last column that touches part k+1, so once z_k is fixed the press bits
-    acc ^ gamma on that part are final: their count with z_k = 0 is the
+    acc holds epsilon.z over the coordinates fixed so far.  Basis vector k
+    is the last one that touches part k+1, so once z_k is fixed the press
+    bits acc ^ gamma on that part are final: their count with z_k = 0 is the
     part's press weight, and z_k = 1 flips the whole part.  Ties keep
     z_k = 0.  Returns (z, u) with u = epsilon.z + gamma in vertex order;
     on part 0, u is gamma.
@@ -44,11 +44,11 @@ def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
     parts = dec.parts
     acc = 0
     z = 0
-    for k, col in enumerate(dec.columns):
+    for k, vec in enumerate(dec.basis.packed_rows):
         part = parts[k + 1]
         if 2 * ((acc ^ g) & part).bit_count() > part.bit_count():
             z |= 1 << k
-            acc ^= col
+            acc ^= vec
     return BitVec(dec.m, z), BitVec(dec.n, acc ^ g)
 
 

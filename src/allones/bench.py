@@ -73,7 +73,7 @@ def check_instance(task: tuple[int, float, int, int]) -> dict:
     if n <= oracle_limit:
         by_press = exact_by_press_enumeration(inst)
         # the affine set the CLI walks: the solution set of the system
-        by_null = exact_by_nullspace(dec.gamma, dec.epsilon())
+        by_null = exact_by_nullspace(dec.gamma, dec.basis)
         if by_press is None or by_null is None or by_press[0] != by_null[0]:
             violations.append("oracleAgreement")
         else:
@@ -97,7 +97,6 @@ def run_bench(
     sizes: Sequence[int],
     trials: int,
     seed: int,
-    p_values: Sequence[float] = P_VALUES,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
     workers: int = 1,
 ) -> dict:
@@ -110,7 +109,7 @@ def run_bench(
     tasks = []
     for n in sizes:
         for t in range(trials):
-            tasks.append((n, p_values[t % len(p_values)], rng.next_u64(), oracle_limit))
+            tasks.append((n, P_VALUES[t % len(P_VALUES)], rng.next_u64(), oracle_limit))
     if workers > 1 and len(tasks) > 1:
         try:
             from multiprocessing import Pool
@@ -143,7 +142,7 @@ def run_bench(
             "sizes": list(sizes),
             "trials": trials,
             "seed": seed,
-            "pValues": list(p_values),
+            "pValues": list(P_VALUES),
             "oracleLimit": oracle_limit,
             "workers": workers,
         },

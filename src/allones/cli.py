@@ -90,7 +90,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # the echelon form spans the same solution set, so its minimum
         # weight is opt
         dec = sol.decomposition
-        sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.epsilon())[0])
+        sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.basis)[0])
     cert = sol.certificate
     mixed = sol.bound_mixed
     payload: dict = {

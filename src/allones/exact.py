@@ -26,20 +26,21 @@ def _lex_less(a: int, b: int) -> bool:
 def exact_by_nullspace(
     gamma: BitVec, null_basis: BitMat, limit: int = NULLSPACE_LIMIT
 ) -> Optional[tuple[int, BitVec]]:
-    """Minimum-weight vector of the affine set gamma + span(null_basis columns).
+    """Minimum-weight vector of the affine set gamma + span(null_basis rows).
 
-    Pass the (gamma, null_basis) pair of gf2.solve to get the minimum-weight
-    solution of a.u = b.  Enumerates all 2**m combinations of null-basis
-    columns in Gray-code order.  Returns (opt, argmin) where ties are
-    broken by the lexicographically smallest combination vector; returns
-    None when m exceeds ``limit``.
+    null_basis is m x n, one basis vector per row, as gf2.solve returns it
+    and EchelonDecomposition.basis stores it; pass either with its gamma to
+    get the minimum-weight solution of a.u = b.  Enumerates all 2**m
+    combinations of the basis vectors in Gray-code order.  Returns
+    (opt, argmin) where ties are broken by the lexicographically smallest
+    combination vector; returns None when m exceeds ``limit``.
     """
-    if gamma.n != null_basis.rows:
-        raise ValueError(f"gamma length {gamma.n} does not match {null_basis.rows} rows")
-    m = null_basis.cols
+    if gamma.n != null_basis.cols:
+        raise ValueError(f"gamma length {gamma.n} does not match {null_basis.cols} columns")
+    m = null_basis.rows
     if m > limit:
         return None
-    cols = null_basis.transpose().packed_rows
+    vecs = null_basis.packed_rows
     cur = gamma.bits
     best_w = cur.bit_count()
     best_x = 0
@@ -48,7 +49,7 @@ def exact_by_nullspace(
     for k in range(1, 1 << m):
         j = (k & -k).bit_length() - 1
         x ^= 1 << j
-        cur ^= cols[j]
+        cur ^= vecs[j]
         w = cur.bit_count()
         if w < best_w or (w == best_w and _lex_less(x, best_x)):
             best_w, best_x, best_u = w, x, cur

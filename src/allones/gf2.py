@@ -5,16 +5,19 @@ so a row update is a single word-parallel XOR no matter how wide the row
 is.  Everything is immutable from the caller's point of view: operations
 return fresh values and never touch their inputs.
 
+A null basis has one layout everywhere: an m x n ``BitMat`` whose row k
+is the k-th basis vector, packed over the n unknowns (the vertices).
+``solve`` returns it, ``column_echelon_grouped`` reduces it and
+``EchelonDecomposition`` stores it, so no stage transposes.
+
 Two elimination kernels live here.  ``_basis`` inserts rows into a basis
-keyed by lowest set bit; ``rank`` counts its slots and ``solve``
-back-substitutes it to the reduced row echelon form, so their cost
-follows the fill of a sparse system rather than one scan of every row
-per pivot.  ``_eliminate`` is the Gaussian forward pass with row swaps;
-only ``column_echelon_grouped`` uses it, because the grouped echelon form
-(unlike the RREF) depends on how rows were combined.  That form
-(``EchelonDecomposition``) is kept column-major in vertex order: its
-columns are the rows ``_eliminate`` leaves on the transposed null basis,
-and its parts are vertex masks, so no row is sorted or permuted.
+keyed by lowest set bit; ``solve`` back-substitutes it to the reduced row
+echelon form, so its cost follows the fill of a sparse system rather
+than one scan of every row per pivot.  ``_eliminate`` is the Gaussian
+forward pass with row swaps; only ``column_echelon_grouped`` uses it,
+because the grouped echelon form (unlike the RREF) depends on how basis
+vectors were combined.  Its parts are vertex masks, so no vertex is
+sorted or permuted.
 """
 
 from __future__ import annotations
@@ -165,16 +168,6 @@ class BitMat:
     def packed_rows(self) -> tuple[int, ...]:
         return self._rows
 
-    def column(self, j: int) -> BitVec:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        mask = 1 << j
-        bits = 0
-        for i, rb in enumerate(self._rows):
-            if rb & mask:
-                bits |= 1 << i
-        return BitVec(self.rows, bits)
-
     def transpose(self) -> "BitMat":
         out = [0] * self.cols
         for i, rb in enumerate(self._rows):
@@ -200,30 +193,30 @@ class BitMat:
 
 
 class EchelonDecomposition:
-    """Column echelon form of a null basis, stored column-major in vertex order.
+    """Echelon basis of a null space, grouped into vertex parts.
 
-    ``columns[k]`` is column k of epsilon (n x m), packed over the n
-    vertices, and ``gamma`` is the particular solution.  Vertex v lies in
-    part i >= 1 when its last nonzero column is i-1, and in part 0 when no
-    column touches it; ``parts[i]`` is part i as a vertex mask, so the parts
-    partition the vertices.  In echelon form every part i >= 1 is nonempty.
+    ``basis`` is m x n: row k is the k-th echelon basis vector (column k of
+    epsilon), packed over the n vertices, and ``gamma`` is the particular
+    solution.  Vertex v lies in part i >= 1 when the last basis vector that
+    touches it is i-1, and in part 0 when none does; ``parts[i]`` is part i
+    as a vertex mask, so the parts partition the vertices.  In echelon form
+    every part i >= 1 is nonempty.
     """
 
-    __slots__ = ("columns", "parts", "gamma")
+    __slots__ = ("basis", "parts", "gamma")
 
-    def __init__(self, columns: Sequence[int], gamma: BitVec) -> None:
-        n = gamma.n
-        columns = tuple(columns)
-        if any(c < 0 or c >> n for c in columns):
-            raise ValueError(f"a column does not fit in {n} vertices")
-        # suffix OR: a vertex belongs to the last column that touches it
-        parts = [0] * (len(columns) + 1)
+    def __init__(self, basis: BitMat, gamma: BitVec) -> None:
+        if basis.cols != gamma.n:
+            raise ValueError(f"basis width {basis.cols} does not match {gamma.n} vertices")
+        vecs = basis.packed_rows
+        # suffix OR: a vertex belongs to the last vector that touches it
+        parts = [0] * (len(vecs) + 1)
         later = 0
-        for k in range(len(columns) - 1, -1, -1):
-            parts[k + 1] = columns[k] & ~later
-            later |= columns[k]
-        parts[0] = ((1 << n) - 1) & ~later
-        self.columns = columns
+        for k in range(len(vecs) - 1, -1, -1):
+            parts[k + 1] = vecs[k] & ~later
+            later |= vecs[k]
+        parts[0] = ((1 << gamma.n) - 1) & ~later
+        self.basis = basis
         self.parts = tuple(parts)
         self.gamma = gamma
 
@@ -233,16 +226,7 @@ class EchelonDecomposition:
 
     @property
     def m(self) -> int:
-        return len(self.columns)
-
-    def epsilon(self) -> BitMat:
-        """The n x m matrix whose columns are ``columns``."""
-        return BitMat(self.m, self.n, self.columns).transpose()
-
-    def check(self) -> None:
-        """Raise AssertionError unless every part i >= 1 is nonempty."""
-        for i in range(1, self.m + 1):
-            assert self.parts[i], f"part {i} is empty"
+        return self.basis.rows
 
     def __repr__(self) -> str:
         sizes = [part.bit_count() for part in self.parts]
@@ -305,11 +289,6 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
     return pivots
 
 
-def rank(m: BitMat) -> int:
-    """GF(2) rank: the number of filled slots of the keyed basis."""
-    return sum(1 for row in _basis(m.packed_rows, m.cols) if row)
-
-
 def mat_vec(m: BitMat, v: BitVec) -> BitVec:
     """Matrix-vector product over GF(2)."""
     if m.cols != v.n:
@@ -329,9 +308,9 @@ def solve(
 
     Returns (r, res): r is the rank of a; res is (gamma, null_basis) for a
     consistent system and None otherwise.  gamma is the particular solution
-    with every free variable set to zero; null_basis is cols x m, its k-th
-    column obtained by setting the k-th free variable (ascending column
-    order) to one and back-substituting.  Both are read off the reduced row
+    with every free variable set to zero; null_basis is m x cols, its row k
+    obtained by setting the k-th free variable (ascending column order) to
+    one and back-substituting.  Both are read off the reduced row
     echelon form, which is unique for the column order, so any correct
     elimination gives the same result.  A dimension mismatch raises
     ValueError; that is a contract violation, not infeasibility.
@@ -367,59 +346,51 @@ def solve(
             row ^= basis[low.bit_length()]
             x ^= low
         basis[k] = row
-    # free column c is null-basis column index[c]
+    # the null vector of free column c holds bit c and the pivot bit of
+    # every reduced row that holds c; pivot columns keep a 0 placeholder
     freemask = ((1 << cols) - 1) ^ pivmask
-    index = [0] * cols
-    basis_rows = [0] * cols
-    m = 0
-    for c in range(cols):
-        if not basis[c + 1]:
-            index[c] = m
-            basis_rows[c] = 1 << m
-            m += 1
+    vecs = [0 if basis[c + 1] else 1 << c for c in range(cols)]
     gamma = 0
     for k in range(1, cols + 1):
         row = basis[k]
         if not row:
             continue
+        piv = 1 << (k - 1)
         if row & bmask:
-            gamma |= 1 << (k - 1)
-        bits = 0
+            gamma |= piv
         f = row & freemask
         while f:
             low = f & -f
-            bits |= 1 << index[low.bit_length() - 1]
+            vecs[low.bit_length() - 1] |= piv
             f ^= low
-        basis_rows[k - 1] = bits
-    return r, (BitVec(cols, gamma), BitMat(cols, m, basis_rows))
+    vecs = [v for v in vecs if v]
+    return r, (BitVec(cols, gamma), BitMat(len(vecs), cols, vecs))
 
 
 def column_echelon_grouped(
     null_basis: BitMat, gamma: BitVec
 ) -> EchelonDecomposition:
-    """Column-reduce a full-column-rank matrix and group its rows by their
-    last nonzero column.
+    """Reduce an m x n null basis of independent rows to echelon form and
+    group the vertices by the last echelon vector that touches them.
 
-    The reduction is a right-multiplication by an invertible matrix, so the
-    result spans the same column space and the affine solution sets
+    Row k of the input is a basis vector, i.e. column k of epsilon, so a row
+    reduction of the input is a column reduction of epsilon: an invertible
+    change of basis, after which the affine solution sets
     {epsilon.z + gamma} and {input.x + gamma} coincide.  The grouping is a
-    partition of the vertices (``EchelonDecomposition.parts``); no row is
+    partition of the vertices (``EchelonDecomposition.parts``); no vertex is
     moved.
 
     The reduction is the swapping forward pass of ``_eliminate``, not the
     keyed basis ``solve`` uses.  Column echelon form is not unique:
-    greedy_assign reads epsilon's bits in the columns before each vertex's
-    last set column, and those bits depend on which rows were XORed into
-    which.  A keyed pass picks different ones and, on ties, a different
-    press set of the same weight, so the swapping pass is what keeps press
-    sets stable.
+    greedy_assign reads each vertex's bits in the vectors before its last
+    one, and those bits depend on which vectors were XORed into which.  A
+    keyed pass picks different ones and, on ties, a different press set of
+    the same weight, so the swapping pass is what keeps press sets stable.
     """
-    n, m = null_basis.rows, null_basis.cols
+    m, n = null_basis.rows, null_basis.cols
     if gamma.n != n:
-        raise ValueError(f"gamma length {gamma.n} does not match {n} rows")
-    # row echelon on the transpose == column transformation of the input;
-    # its rows are epsilon's columns
-    columns = list(null_basis.transpose().packed_rows)
-    if len(_eliminate(columns, n)) != m:
-        raise ValueError("null basis does not have full column rank")
-    return EchelonDecomposition(columns, gamma)
+        raise ValueError(f"gamma length {gamma.n} does not match {n} columns")
+    vecs = list(null_basis.packed_rows)
+    if len(_eliminate(vecs, n)) != m:
+        raise ValueError("null basis rows are not independent")
+    return EchelonDecomposition(BitMat(m, n, vecs), gamma)

@@ -13,7 +13,7 @@ canonical sorted order, so parse(render(x)) == x.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 from .gf2 import BitVec
 from .lamps import EdgeError, Instance, SwitchType
@@ -171,46 +171,26 @@ def render_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def gen_path(
-    n: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
-    """Path 0-1-...-(n-1); defaults: all '+' switches, all lamps off."""
-    return Instance(n, [(v, v + 1) for v in range(n - 1)], switches, initially_on)
+def gen_path(n: int) -> Instance:
+    """Path 0-1-...-(n-1); like every generator but gen_random_mixed, it has
+    all '+' switches and all lamps off."""
+    return Instance(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def gen_cycle(
-    n: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
+def gen_cycle(n: int) -> Instance:
     """Cycle on n vertices (degenerates to a path for n <= 2)."""
     edges = [(v, v + 1) for v in range(n - 1)]
     if n > 2:
         edges.append((0, n - 1))
-    return Instance(n, edges, switches, initially_on)
+    return Instance(n, edges)
 
 
-def gen_complete(
-    n: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
+def gen_complete(n: int) -> Instance:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Instance(n, edges, switches, initially_on)
+    return Instance(n, edges)
 
 
-def gen_grid(
-    w: int,
-    h: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
+def gen_grid(w: int, h: int) -> Instance:
     """w x h grid with 4-neighborhood, vertices numbered row-major."""
     if w < 1 or h < 1:
         raise ValueError("grid sides must be >= 1")
@@ -222,7 +202,7 @@ def gen_grid(
                 edges.append((v, v + 1))
             if y + 1 < h:
                 edges.append((v, v + w))
-    return Instance(w * h, edges, switches, initially_on)
+    return Instance(w * h, edges)
 
 
 def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
@@ -235,29 +215,16 @@ def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < threshold]
 
 
-def gen_random_gnp(
-    n: int,
-    p: float,
-    seed: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
+def gen_random_gnp(n: int, p: float, seed: int) -> Instance:
     """G(n, p): one Bernoulli draw per pair (i, j), i < j, in sorted order."""
-    return Instance(n, _gnp_edges(n, p, SplitMix64(seed)), switches, initially_on)
+    return Instance(n, _gnp_edges(n, p, SplitMix64(seed)))
 
 
-def gen_random_tree(
-    n: int,
-    seed: int,
-    *,
-    switches: Optional[Sequence[SwitchType]] = None,
-    initially_on: Optional[BitVec] = None,
-) -> Instance:
+def gen_random_tree(n: int, seed: int) -> Instance:
     """Random recursive tree: vertex v >= 1 attaches to a uniform earlier vertex."""
     rng = SplitMix64(seed)
     edges = [(rng.below(v), v) for v in range(1, n)]
-    return Instance(n, edges, switches, initially_on)
+    return Instance(n, edges)
 
 
 def gen_random_mixed(n: int, p: float, seed: int) -> Instance:

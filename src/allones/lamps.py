@@ -137,8 +137,8 @@ class Certificate:
 class Solution:
     """A feasible press set with its certificate.
 
-    decomposition, when set, is the echelon decomposition (columns, parts
-    and gamma, all in vertex order) the press set was read from; it takes
+    decomposition, when set, is the echelon decomposition (basis, parts
+    and gamma, all over the vertices) the press set was read from; it takes
     no part in equality.
     """
 

@@ -151,15 +151,14 @@ def test_criterion_4_transform_invariance(corpus):
             continue
         gamma, eta = rec["lin"]
         dec = rec["dec"]
-        if eta.cols > 10:
+        if eta.rows > 10:
             continue
-        eta_cols = [eta.column(j).bits for j in range(eta.cols)]
         before = {gamma.bits}
-        for col in eta_cols:
-            before |= {v ^ col for v in before}
+        for vec in eta.packed_rows:
+            before |= {v ^ vec for v in before}
         after = {dec.gamma.bits}
-        for col in dec.columns:
-            after |= {v ^ col for v in after}
+        for vec in dec.basis.packed_rows:
+            after |= {v ^ vec for v in after}
         if sorted(v.bit_count() for v in before) != sorted(v.bit_count() for v in after):
             violations.append(f"#{idx}: weight multisets differ")
         checked += 1
@@ -175,11 +174,11 @@ def test_criterion_5_classic_grid_fixture():
     inst = gen_grid(5, 5)
     a, b = build_system(inst)
     _, (gamma, eta) = solve(a, b)
-    r = 25 - eta.cols
+    r = 25 - eta.rows
     if r != 23:
         violations.append(f"rank {r} != 23")
-    if eta.cols != 2:
-        violations.append(f"m {eta.cols} != 2")
+    if eta.rows != 2:
+        violations.append(f"m {eta.rows} != 2")
     by_null = exact_by_nullspace(gamma, eta)
     opt = by_null[0]
     # independently recompute opt with the dense oracle before trusting it

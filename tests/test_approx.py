@@ -12,7 +12,7 @@ from allones.approx import (
     solve_from_decomposition,
 )
 from allones.exact import exact_by_press_enumeration
-from allones.gf2 import BitVec, EchelonDecomposition, mat_vec
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition, mat_vec
 from allones.instance_io import (
     SplitMix64,
     gen_complete,
@@ -25,15 +25,16 @@ from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulat
 from helpers import random_instance
 
 
-def _dec(n, columns, gamma_bits):
-    return EchelonDecomposition(columns, BitVec(n, gamma_bits))
+def _dec(n, vecs, gamma_bits):
+    return EchelonDecomposition(BitMat(len(vecs), n, vecs), BitVec(n, gamma_bits))
 
 
 def _pinned_corpus():
     """Grids (all-'+' and seeded mixed), random trees, gen_random_mixed."""
     for w in (5, 6):
         n = w * w
-        yield gen_grid(w, w)
+        grid = gen_grid(w, w)
+        yield grid
         for seed in range(1, 6):
             rng = SplitMix64(seed)
             sw = rng.bits(n)
@@ -41,7 +42,7 @@ def _pinned_corpus():
                 SwitchType.SIGMA if (sw >> v) & 1 else SwitchType.SIGMA_PLUS
                 for v in range(n)
             ]
-            yield gen_grid(w, w, switches=switches, initially_on=BitVec(n, rng.bits(n)))
+            yield Instance(grid.n, grid.edges, switches, BitVec(n, rng.bits(n)))
     for n in (20, 50, 100):
         for seed in range(10):
             yield gen_random_tree(n, seed)
@@ -75,7 +76,7 @@ class TestGreedyAssign:
 
     def test_later_parts_see_earlier_choices(self):
         # epsilon rows (0b01, 0b01, 0b11, 0b11, 0b10): vertices 2 and 3 of
-        # part 2 also carry column 0, so part 2's mismatch count must be
+        # part 2 also carry basis vector 0, so part 2's mismatch count must be
         # read against the press bits z_0 left there
         dec = _dec(5, [0b01111, 0b11100], 0b00000)
         assert dec.parts == (0, 0b00011, 0b11100)
@@ -93,7 +94,8 @@ class TestGreedyAssign:
 
 class TestSolveApprox:
     def test_all_lamps_on_needs_no_press(self):
-        inst = gen_grid(3, 3, initially_on=BitVec.ones(9))
+        grid = gen_grid(3, 3)
+        inst = Instance(grid.n, grid.edges, None, BitVec.ones(9))
         _, sol = solve_approx(inst)
         assert sol.weight == 0
         assert sol.press == BitVec.zeros(9)

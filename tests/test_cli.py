@@ -101,8 +101,8 @@ class TestSolve:
         self, request, monkeypatch, capsys, fixture, code, kernel_calls
     ):
         # one keyed-basis elimination of [A | b]; a feasible solve adds one
-        # swapping forward pass over the transposed null basis for the
-        # grouped echelon form
+        # swapping forward pass over the null basis for the grouped echelon
+        # form
         path = request.getfixturevalue(fixture)
         calls = {"solve": 0, "basis": 0, "eliminate": 0}
 

@@ -161,11 +161,6 @@ class TestGenerators:
         assert all(s is SwitchType.SIGMA_PLUS for s in inst.switches)
         assert inst.initially_on == BitVec.zeros(4)
 
-    def test_overrides(self):
-        inst = gen_path(2, switches=parse_switch_string("-+"), initially_on=BitVec.from01("10"))
-        assert inst.switches[0] is SwitchType.SIGMA
-        assert inst.initially_on[0] == 1
-
     def test_mixed_generator_deterministic(self):
         assert gen_random_mixed(12, 0.5, 99) == gen_random_mixed(12, 0.5, 99)
 
