@@ -9,6 +9,7 @@ instances), so a bench run doubles as a correctness sweep.
 from __future__ import annotations
 
 import math
+import os
 import time
 from typing import Optional, Sequence
 
@@ -102,21 +103,25 @@ def run_bench(
 ) -> dict:
     """Run the corpus and aggregate; results are worker-count independent.
 
-    The returned dict has a deterministic "config"/"results" portion and a
-    separate "timing" portion (wall-clock, varies run to run).
+    At most one worker process runs per CPU and per instance; "config"
+    reports the count used.  The returned dict has a deterministic
+    "config"/"results" portion and a separate "timing" portion (wall-clock,
+    varies run to run).
     """
     rng = SplitMix64(seed)
     tasks = []
     for n in sizes:
         for t in range(trials):
             tasks.append((n, P_VALUES[t % len(P_VALUES)], rng.next_u64(), oracle_limit))
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         try:
             from multiprocessing import Pool
 
             with Pool(workers) as pool:
                 records = pool.map(check_instance, tasks)
         except OSError:  # restricted environments: fall back, results identical
+            workers = 1
             records = [check_instance(t) for t in tasks]
     else:
         records = [check_instance(t) for t in tasks]

@@ -73,6 +73,8 @@ def _parse_press(text: str, n: int) -> BitVec:
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.exact_limit > NULLSPACE_LIMIT:
         return _fail(f"--exact-limit {args.exact_limit} exceeds {NULLSPACE_LIMIT}")
+    if args.exact_limit < 0:
+        return _fail(f"--exact-limit {args.exact_limit} is below 0")
     try:
         inst = _load_instance(args.file)
     except (OSError, ParseError, UnicodeDecodeError) as exc:
@@ -178,6 +180,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--trials {args.trials} is below 1")
     if args.oracle_limit > PRESS_LIMIT:
         return _fail(f"--oracle-limit {args.oracle_limit} exceeds {PRESS_LIMIT}")
+    if args.oracle_limit < 0:
+        return _fail(f"--oracle-limit {args.oracle_limit} is below 0")
     try:
         workers = max(1, int(os.environ.get("ALLONES_THREADS", "1")))
     except ValueError:

@@ -1,8 +1,10 @@
-"""Exact minimum press sets by exhaustive enumeration.
+"""Exact minimum press sets.
 
-Two independent routes: one walks the affine solution set of the linear
-system (2**m candidates), the other tries every press pattern outright
-(2**n candidates) and never touches the algebra.  Both use Gray-code
+Two independent routes.  ``exact_by_nullspace`` minimises over the affine
+solution set of the linear system: by a dynamic program in part order
+when the basis is narrow, otherwise by walking all 2**m combinations.
+``exact_by_press_enumeration`` tries every press pattern outright (2**n
+candidates) and never touches the algebra.  Both walks use Gray-code
 order so each step is a single XOR plus a popcount.
 """
 
@@ -10,17 +12,94 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .gf2 import BitMat, BitVec
+from .gf2 import BitMat, BitVec, EchelonDecomposition
 from .lamps import Instance
 
 NULLSPACE_LIMIT = 24
 PRESS_LIMIT = 20
+# One transition of the part-order DP costs about this many Gray-walk steps.
+DP_STEP_COST = 4
 
 
 def _lex_less(a: int, b: int) -> bool:
     """True if packed vector a precedes b lexicographically (bit 0 first)."""
     d = a ^ b
     return d != 0 and a & (d & -d) == 0
+
+
+def _live_masks(vecs: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
+    """Mask k holds the z_j, j <= k, that some part after k+1 still reads.
+
+    z_j sits at bit m-1-j, so in this layout comparing two z vectors as
+    integers compares them lexicographically, z_0 first.
+    """
+    m = len(vecs)
+    live = [0] * m
+    for j, vec in enumerate(vecs):
+        # z_j stays live up to the last part its vector touches
+        last = next((k for k in range(m - 1, j, -1) if vec & parts[k + 1]), j)
+        for k in range(j, last):
+            live[k] |= 1 << (m - 1 - j)
+    return live
+
+
+def _dp_transitions(live: list[int]) -> int:
+    """The DP's transition count: two per state entering each step."""
+    total, width = 0, 0
+    for mask in live:
+        total += 2 << width
+        width = mask.bit_count()
+    return total
+
+
+def _part_dp(
+    gamma: int, vecs: tuple[int, ...], parts: tuple[int, ...], live: list[int]
+) -> tuple[int, int]:
+    """(opt, argmin) by a dynamic program over the parts in order.
+
+    Step k fixes z_k; the press bits of part k+1 then depend only on
+    z_0..z_k, so each step adds that part's weight.  A state keeps the z's
+    that later parts still read, as ``z & live[k]`` (z bit-reversed as in
+    ``_live_masks``), and maps it to (cost, z, acc) with acc the XOR of the
+    chosen vectors.  States with one key share every completion, so the
+    one with the smaller (cost, z) also gives the smaller full vector:
+    ties go to the lexicographically smallest combination, as in the walk.
+    """
+    states = {0: ((gamma & parts[0]).bit_count(), 0, 0)}
+    bit = 1 << len(vecs)
+    for vec, part, keep in zip(vecs, parts[1:], live):
+        bit >>= 1
+        nxt: dict[int, tuple[int, int, int]] = {}
+        for cost, z, acc in states.values():
+            for cand in (
+                (cost + ((acc ^ gamma) & part).bit_count(), z, acc),
+                (cost + ((acc ^ vec ^ gamma) & part).bit_count(), z | bit, acc ^ vec),
+            ):
+                key = cand[1] & keep
+                old = nxt.get(key)
+                if old is None or cand < old:
+                    nxt[key] = cand
+        states = nxt
+    # nothing is live after the last step: one state is left
+    cost, _, acc = states[0]
+    return cost, gamma ^ acc
+
+
+def _gray_walk(gamma: int, vecs: tuple[int, ...]) -> tuple[int, int]:
+    """(opt, argmin) by visiting all 2**m combinations in Gray-code order."""
+    cur = gamma
+    best_w = cur.bit_count()
+    best_x = 0
+    best_u = cur
+    x = 0
+    for k in range(1, 1 << len(vecs)):
+        j = (k & -k).bit_length() - 1
+        x ^= 1 << j
+        cur ^= vecs[j]
+        w = cur.bit_count()
+        if w < best_w or (w == best_w and _lex_less(x, best_x)):
+            best_w, best_x, best_u = w, x, cur
+    return best_w, best_u
 
 
 def exact_by_nullspace(
@@ -30,10 +109,17 @@ def exact_by_nullspace(
 
     null_basis is m x n, one basis vector per row, as gf2.solve returns it
     and EchelonDecomposition.basis stores it; pass either with its gamma to
-    get the minimum-weight solution of a.u = b.  Enumerates all 2**m
-    combinations of the basis vectors in Gray-code order.  Returns
-    (opt, argmin) where ties are broken by the lexicographically smallest
-    combination vector; returns None when m exceeds ``limit``.
+    get the minimum-weight solution of a.u = b.  Returns (opt, argmin)
+    where ties are broken by the lexicographically smallest combination
+    vector; returns None when m exceeds ``limit``.
+
+    Grouping the vertices by the last basis vector that touches them
+    (``EchelonDecomposition.parts``) makes a chain, which ``_part_dp``
+    minimises in a sum over the parts of 2**(live width + 1) transitions,
+    the live width being the number of z's that later parts still read.
+    The 2**m Gray-code walk runs instead when DP_STEP_COST times that sum
+    is at least 2**m: wide bases (all-'+' grids) and tiny m.  Narrow ones
+    (random trees) take the DP.  Both give the same answer.
     """
     if gamma.n != null_basis.cols:
         raise ValueError(f"gamma length {gamma.n} does not match {null_basis.cols} columns")
@@ -41,19 +127,13 @@ def exact_by_nullspace(
     if m > limit:
         return None
     vecs = null_basis.packed_rows
-    cur = gamma.bits
-    best_w = cur.bit_count()
-    best_x = 0
-    best_u = cur
-    x = 0
-    for k in range(1, 1 << m):
-        j = (k & -k).bit_length() - 1
-        x ^= 1 << j
-        cur ^= vecs[j]
-        w = cur.bit_count()
-        if w < best_w or (w == best_w and _lex_less(x, best_x)):
-            best_w, best_x, best_u = w, x, cur
-    return best_w, BitVec(gamma.n, best_u)
+    parts = EchelonDecomposition(null_basis, gamma).parts
+    live = _live_masks(vecs, parts)
+    if DP_STEP_COST * _dp_transitions(live) >= 1 << m:
+        opt, argmin = _gray_walk(gamma.bits, vecs)
+    else:
+        opt, argmin = _part_dp(gamma.bits, vecs, parts, live)
+    return opt, BitVec(gamma.n, argmin)
 
 
 def exact_by_press_enumeration(

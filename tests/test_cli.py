@@ -1,13 +1,14 @@
 """CLI behavior: exit codes, JSON schema, determinism, bench report."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from allones import approx, cli, gf2
+from allones import approx, bench, cli, gf2
 from allones.instance_io import gen_complete, gen_grid, render_instance
 
 FEASIBLE_KEYS = {
@@ -93,6 +94,10 @@ class TestSolve:
     def test_exact_limit_above_walk_limit_is_rejected(self, k2_file):
         assert_clean_usage_error(run_cli("solve", k2_file, "--exact-limit", "25"))
         assert run_cli("solve", k2_file, "--exact-limit", "24").returncode == 0
+
+    @pytest.mark.parametrize("limit", ["-1", "-4"])
+    def test_negative_exact_limit_is_rejected(self, k2_file, limit):
+        assert_clean_usage_error(run_cli("solve", k2_file, "--exact-limit", limit))
 
     @pytest.mark.parametrize(
         "fixture, code, kernel_calls", [("k2_file", 0, 2), ("infeasible_file", 2, 1)]
@@ -236,10 +241,36 @@ class TestBench:
             ("--sizes", "0"),
             ("--sizes", "6,-1"),
             ("--trials", "0"),
+            ("--oracle-limit", "-1"),
         ],
     )
     def test_bad_flags_fail_cleanly(self, flags):
         assert_clean_usage_error(run_cli("bench", *flags))
+
+    @pytest.mark.parametrize(
+        "cpus, trials, used", [(4, 3, 3), (4, 9, 4), (1, 9, 1), (None, 9, 1)]
+    )
+    def test_worker_pool_is_capped(self, monkeypatch, cpus, trials, used):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = bench.run_bench([6], trials, seed=1, workers=10**6)
+        assert report["config"]["workers"] == used
+        assert sizes == ([used] if used > 1 else [])
 
     def test_text_report(self):
         res = run_cli("bench", "--sizes", "6", "--trials", "3", "--seed", "1")

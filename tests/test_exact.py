@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+import numpy as np
 import oracles
+from allones import exact
+from allones.approx import decompose
 from allones.exact import exact_by_nullspace, exact_by_press_enumeration
-from allones.gf2 import BitMat, BitVec, mat_vec, solve
-from allones.instance_io import gen_complete, gen_grid
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition, mat_vec, solve
+from allones.instance_io import gen_complete, gen_grid, gen_random_mixed, gen_random_tree
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
 from helpers import random_instance
 
@@ -111,3 +114,111 @@ def test_oracles_agree_with_each_other_and_brute_force():
             )
             assert dense is not None and dense[0] == by_press[0]
     assert feasible >= 50
+
+
+# (n, seed) of gen_random_tree instances (all '+', lamps off) with coranks 8..20
+TREES = {
+    8: (200, 26), 9: (200, 10), 10: (200, 7), 11: (200, 3), 12: (200, 1),
+    13: (200, 8), 14: (200, 23), 15: (200, 14), 16: (200, 83), 17: (200, 178),
+    18: (200, 105), 19: (240, 120), 20: (240, 112),
+}
+
+
+def by_walk(gamma, basis):
+    opt, argmin = exact._gray_walk(gamma.bits, basis.packed_rows)
+    return opt, BitVec(gamma.n, argmin)
+
+
+def by_dp(gamma, basis):
+    vecs = basis.packed_rows
+    parts = EchelonDecomposition(basis, gamma).parts
+    opt, argmin = exact._part_dp(gamma.bits, vecs, parts, exact._live_masks(vecs, parts))
+    return opt, BitVec(gamma.n, argmin)
+
+
+@pytest.fixture
+def branch(monkeypatch):
+    """Call exact_by_nullspace and name the branch it took."""
+    taken = []
+    for name in ("_gray_walk", "_part_dp"):
+        def spy(*args, _name=name, _fn=getattr(exact, name)):
+            taken.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(exact, name, spy)
+
+    def call(gamma, basis):
+        taken.clear()
+        res = exact_by_nullspace(gamma, basis)
+        assert len(taken) == 1
+        return res, taken[0]
+    return call
+
+
+def dense_opt(a, b):
+    a_np = np.array([[(row >> c) & 1 for c in range(a.cols)] for row in a.packed_rows])
+    b_np = np.array([b[i] for i in range(b.n)])
+    return oracles.min_weight_solution_f2(a_np, b_np)[0]
+
+
+@pytest.mark.parametrize("m", sorted(TREES))
+def test_trees_take_the_dp_and_match_the_walk(branch, m):
+    n, seed = TREES[m]
+    inst = gen_random_tree(n, seed)
+    a, b = build_system(inst)
+    _, dec = decompose(inst)
+    assert dec.m == m
+    res, taken = branch(dec.gamma, dec.basis)
+    assert taken == "_part_dp"
+    assert res == by_walk(dec.gamma, dec.basis)
+    # the unreduced basis of solve spans the same set
+    gamma, basis = solve(a, b)[1]
+    assert by_dp(gamma, basis)[0] == by_walk(gamma, basis)[0] == res[0]
+    if m <= 12:
+        assert res[0] == dense_opt(a, b)
+
+
+def test_mixed_systems_agree_on_both_branches():
+    checked = 0
+    for seed in range(60):
+        n = 8 + seed % 17
+        inst = gen_random_mixed(n, (0.2, 0.5, 0.8)[seed % 3], seed)
+        a, b = build_system(inst)
+        _, lin = solve(a, b)
+        if lin is None:
+            continue
+        _, dec = decompose(inst)
+        for gamma, basis in (lin, (dec.gamma, dec.basis)):
+            res = by_walk(gamma, basis)
+            assert by_dp(gamma, basis) == res
+            assert exact_by_nullspace(gamma, basis) == res
+            if basis.rows <= 12:
+                assert res[0] == dense_opt(a, b)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("side", [9, 19])
+def test_all_plus_grids_take_the_walk(branch, side):
+    inst = gen_grid(side, side)
+    _, dec = decompose(inst)
+    res, taken = branch(dec.gamma, dec.basis)
+    assert taken == "_gray_walk"
+    assert res == by_dp(dec.gamma, dec.basis)
+    assert is_all_on(simulate_presses(inst, res[1]))
+
+
+def test_dp_keeps_the_lexicographically_smallest_tie():
+    # z = (1,0,0), (0,1,0), (1,1,0) and (1,0,1) all reach weight 1.  The
+    # DP meets (1,0,0) before (0,1,0) under the same final key and must
+    # keep the lexicographically smaller (0,1,0), whose press set is {0}.
+    basis = BitMat.from_lists([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    gamma = BitVec.from01("1101")
+    assert by_walk(gamma, basis) == (1, BitVec.from01("1000"))
+    assert by_dp(gamma, basis) == (1, BitVec.from01("1000"))
+
+
+def test_corank_zero(branch):
+    gamma = BitVec.from01("1011")
+    basis = BitMat.zeros(0, 4)
+    assert branch(gamma, basis) == ((3, gamma), "_part_dp")
+    assert by_walk(gamma, basis) == (3, gamma)
