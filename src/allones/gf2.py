@@ -10,14 +10,16 @@ is the k-th basis vector, packed over the n unknowns (the vertices).
 ``solve`` returns it, ``column_echelon_grouped`` reduces it and
 ``EchelonDecomposition`` stores it, so no stage transposes.
 
-Two elimination kernels live here.  ``_basis`` inserts rows into a basis
-keyed by lowest set bit; ``solve`` back-substitutes it to the reduced row
-echelon form, so its cost follows the fill of a sparse system rather
-than one scan of every row per pivot.  ``_eliminate`` is the Gaussian
-forward pass with row swaps; only ``column_echelon_grouped`` uses it,
-because the grouped echelon form (unlike the RREF) depends on how basis
-vectors were combined.  Its parts are vertex masks, so no vertex is
-sorted or permuted.
+Two elimination kernels live here, and each pays for its fill rather
+than for a scan of every row or column per pivot.  ``_basis`` inserts
+rows into a basis keyed by lowest set bit; ``solve`` feeds it the
+lightest rows first (ties to the highest row index), which changes only
+the fill, and back-substitutes it to the reduced row echelon form.
+``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
+list of each row's lowest set bit instead of a scan of the n columns;
+only ``column_echelon_grouped`` uses it, because the grouped echelon
+form (unlike the RREF) depends on how basis vectors were combined.  Its
+parts are vertex masks, so no vertex is sorted or permuted.
 """
 
 from __future__ import annotations
@@ -233,21 +235,25 @@ class EchelonDecomposition:
         return f"EchelonDecomposition(n={self.n}, m={self.m}, part_sizes={sizes})"
 
 
-def _basis(rows: Iterable[int], ncols: int) -> list[int]:
+def _basis(rows: list[int], ncols: int) -> list[int]:
     """Forward elimination into a basis keyed by lowest set bit.
 
     Slot k of the result holds the row whose lowest set bit is column k-1
-    (slot 0 stays 0; 0 marks an empty slot).  Each input row is XORed with
-    the slot row of its current lowest bit until it lands in an empty slot
-    or cancels to zero, so a row only ever meets the rows that share its
-    leading columns: the cost is the fill, not a scan of every row per
-    pivot.  The filled slots span the row space of the input, and their
-    count is its rank.
+    (slot 0 stays 0; 0 marks an empty slot).  Rows are popped off the end
+    of ``rows``, which is left empty, so no row outlives its insertion.
+    Each row is XORed with the slot row of its current lowest bit until it
+    lands in an empty slot or cancels to zero, so a row only ever meets
+    the rows that share its leading columns: the cost is the fill, not a
+    scan of every row per pivot.  The filled slots span the row space of
+    the input, and their count is its rank, whatever the order of the
+    rows; the order decides the fill, and light rows first keeps it small
+    (structured Gaussian elimination; LaMacchia & Odlyzko, CRYPTO 1990).
     """
     # a list indexed by bit_length, not a dict keyed by the power of two:
     # hashing a wide int costs O(words) per lookup
     basis = [0] * (ncols + 1)
-    for row in rows:
+    while rows:
+        row = rows.pop()
         while row:
             k = (row & -row).bit_length()
             piv = basis[k]
@@ -261,31 +267,35 @@ def _basis(rows: Iterable[int], ncols: int) -> list[int]:
 def _eliminate(rows: list[int], ncols: int) -> list[int]:
     """Forward (row echelon) elimination of packed rows, in place.
 
-    For each column in ascending order, the first row at or below the
-    current pivot row with that bit set is swapped up and XORed into the
-    rows below it that also have the bit.  Returns the pivot columns; row k
-    then has bit pivots[k] as its lowest set bit, and rows past the last
-    pivot are zero.
+    Step r makes the smallest lowest set bit among rows r.. the pivot
+    column c, swaps the first row holding it up to row r and XORs that row
+    into the others below that hold it.  Rows r.. have no bit below c, so
+    a row holds bit c exactly when its lowest set bit is c, and a list of
+    lowest bits finds both the pivot and the rows to clear without a scan
+    of the n columns; these are the swaps and XORs of the column-by-column
+    pass.  Returns the pivot columns; row k then has bit pivots[k] as its
+    lowest set bit, and rows past the last pivot are zero.
     """
     nrows = len(rows)
+    # a zero row's entry is ncols, past every column
+    low = [(row & -row).bit_length() - 1 if row else ncols for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(nrows):
+        c = min(low[r:])
+        if c == ncols:
             break
-        mask = 1 << c
-        for piv in range(r, nrows):
-            if rows[piv] & mask:
-                break
-        else:
-            continue
+        piv = low.index(c, r)
         rows[r], rows[piv] = rows[piv], rows[r]
+        low[r], low[piv] = c, low[r]
         prow = rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i] & mask:
-                rows[i] ^= prow
+        # rows above r hold lower pivots, so the count is of rows r..
+        i = r
+        for _ in range(low.count(c) - 1):
+            i = low.index(c, i + 1)
+            row = rows[i] ^ prow
+            rows[i] = row
+            low[i] = (row & -row).bit_length() - 1 if row else ncols
         pivots.append(c)
-        r += 1
     return pivots
 
 
@@ -320,10 +330,14 @@ def solve(
     cols = a.cols
     bmask = 1 << cols
     bbits = b.bits
-    basis = _basis(
-        (rb | bmask if (bbits >> i) & 1 else rb for i, rb in enumerate(a.packed_rows)),
-        cols + 1,
-    )
+    rows = [rb | bmask if (bbits >> i) & 1 else rb for i, rb in enumerate(a.packed_rows)]
+    # _basis pops from the end, so it meets the lightest rows first, ties
+    # to the highest index (a reverse sort stays stable): light rows carry
+    # few bits into their slots, and on a banded system such as a grid the
+    # reversed order fills far less than the natural one.  The order
+    # changes only the fill, never the RREF read off below
+    rows.sort(key=int.bit_count, reverse=True)
+    basis = _basis(rows, cols + 1)
     pivmask = 0
     for k in range(1, cols + 1):
         if basis[k]:

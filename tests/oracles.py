@@ -39,6 +39,35 @@ def rref_f2(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return a, pivots
 
 
+def row_echelon_f2(m: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Row echelon form over GF(2), not reduced, plus the pivot column list.
+
+    Column by column, the first row at or below r with a 1 in column c is
+    swapped up to become pivot row r and added to the rows below r that
+    have a 1 there; rows above r are never touched.
+    """
+    a = (np.asarray(m) % 2).astype(np.uint8).copy()
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    nrows, ncols = a.shape
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
+        a[below] ^= a[r]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
 def rank_f2(m: np.ndarray) -> int:
     return len(rref_f2(m)[1])
 

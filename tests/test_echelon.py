@@ -2,15 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 
+import oracles
 from allones.gf2 import (
     BitMat,
     BitVec,
+    _eliminate,
     column_echelon_grouped,
     mat_vec,
     solve,
 )
+from allones.instance_io import gen_random_tree
+from allones.lamps import build_system
 
 
 def affine_set(vecs, gamma_bits):
@@ -19,6 +24,23 @@ def affine_set(vecs, gamma_bits):
     for vec in vecs:
         out |= {v ^ vec for v in out}
     return out
+
+
+def _dense(rows, n):
+    """Packed rows as a len(rows) x n uint8 array."""
+    return np.array(
+        [[(row >> c) & 1 for c in range(n)] for row in rows], dtype=np.uint8
+    ).reshape(len(rows), n)
+
+
+def _matches_forward_oracle(rows, n):
+    """_eliminate's rows and pivots must be the oracle's, row for row;
+    returns the oracle's rows and pivots."""
+    want, want_pivots = oracles.row_echelon_f2(_dense(rows, n))
+    mine = list(rows)
+    assert _eliminate(mine, n) == want_pivots
+    assert np.array_equal(_dense(mine, n), want)
+    return want, want_pivots
 
 
 def test_single_column_already_echelon():
@@ -94,3 +116,40 @@ def test_structure_and_span_preserved_on_random_systems():
             continue
         assert affine_set(eta.packed_rows, gamma.bits) == affine_set(vecs, gamma.bits)
         done += 1
+
+
+def test_forward_pass_matches_oracle_on_random_matrices():
+    # dependent and zero rows included, so pivots can run out early
+    rnd = random.Random(8)
+    for _ in range(300):
+        rows, n = rnd.randint(0, 12), rnd.randint(1, 30)
+        density = rnd.choice((0.05, 0.2, 0.5))
+        _matches_forward_oracle(
+            [sum(1 << c for c in range(n) if rnd.random() < density) for _ in range(rows)],
+            n,
+        )
+
+
+def _check_grouped_against_oracle(eta, gamma):
+    want, want_pivots = _matches_forward_oracle(eta.packed_rows, eta.cols)
+    assert len(want_pivots) == eta.rows
+    dec = column_echelon_grouped(eta, gamma)
+    assert np.array_equal(_dense(dec.basis.packed_rows, eta.cols), want)
+
+
+def test_grouped_basis_matches_oracle_on_random_systems():
+    rnd = random.Random(31)
+    for _ in range(200):
+        n = rnd.randint(1, 24)
+        a = BitMat(n, n, [rnd.getrandbits(n) & rnd.getrandbits(n) for _ in range(n)])
+        _, (gamma, eta) = solve(a, mat_vec(a, BitVec(n, rnd.getrandbits(n))))
+        _check_grouped_against_oracle(eta, gamma)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grouped_basis_matches_oracle_on_tree_null_bases(seed):
+    # n=1000 trees have coranks past 40, so the pivot list runs long and
+    # many rows share a lowest bit at each step
+    r, (gamma, eta) = solve(*build_system(gen_random_tree(1000, seed)))
+    assert eta.rows >= 40
+    _check_grouped_against_oracle(eta, gamma)

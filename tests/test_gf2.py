@@ -53,6 +53,14 @@ def sparse_systems(draw, max_dim=24):
     return BitMat(rows, cols, packed), BitVec(rows, draw(st.integers(0, (1 << rows) - 1)))
 
 
+@st.composite
+def dense_systems(draw, max_dim=24):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    packed = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMat(rows, cols, packed), BitVec(rows, draw(st.integers(0, (1 << rows) - 1)))
+
+
 class TestBitVec:
     def test_padding_is_canonical(self):
         with pytest.raises(ValueError):
@@ -298,3 +306,15 @@ class TestSolve:
 @given(sparse_systems())
 def test_sparse_systems_match_oracle(system):
     _matches_oracle(*system)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_solve_is_row_order_invariant(data):
+    # solve picks its own insertion order, which may change only the fill:
+    # r, gamma, the null basis and infeasibility are those of the row space
+    a, b = data.draw(st.one_of(sparse_systems(), dense_systems()))
+    perm = data.draw(st.permutations(range(a.rows)))
+    pa = BitMat(a.rows, a.cols, [a.packed_rows[i] for i in perm])
+    pb = BitVec(b.n, sum(b[i] << k for k, i in enumerate(perm)))
+    assert solve(pa, pb) == solve(a, b)

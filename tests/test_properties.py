@@ -25,10 +25,19 @@ def instances(draw, max_n=24):
     return Instance(n, edges, switches, BitVec(n, on))
 
 
-def _first_bad(n, edges):
-    """Index of the first out-of-range, self-loop or repeated edge, or None."""
+# edge lines the parser rejects before Instance sees them: a malformed
+# 'e' line or an endpoint that is not an integer
+SYNTAX_FAULTS = ["e", "e 1", "e 0 1 2", "f 0 1", "e x 1", "e 0 1.5", "e 0x1 2"]
+
+
+def _first_bad(n, items):
+    """Index of the first syntax fault (a str) or out-of-range, self-loop
+    or repeated edge, or None."""
     seen = set()
-    for k, (i, j) in enumerate(edges):
+    for k, item in enumerate(items):
+        if isinstance(item, str):
+            return k
+        i, j = item
         e = (min(i, j), max(i, j))
         if not (0 <= i < n and 0 <= j < n) or i == j or e in seen:
             return k
@@ -57,22 +66,30 @@ def test_first_bad_edge_line(data):
         bad_kinds.append(st.sampled_from(edges).map(lambda e: e[::-1]))
     for bad in data.draw(st.lists(st.one_of(bad_kinds), min_size=1, max_size=4)):
         edges.insert(data.draw(st.integers(0, len(edges))), bad)
+    # syntax faults land before or after the first bad edge; either way the
+    # error names the first bad line in file order
+    items = list(edges)
+    for fault in data.draw(st.lists(st.sampled_from(SYNTAX_FAULTS), max_size=2)):
+        items.insert(data.draw(st.integers(0, len(items))), fault)
     # blank and comment lines between edges keep line numbers apart from
     # edge positions
     lines = render_instance(Instance(n, (), inst.switches, inst.initially_on)).splitlines()
-    edge_line = []
-    for i, j in edges:
+    item_line = []
+    for item in items:
         lines.extend(data.draw(st.lists(st.sampled_from(["", "# note"]), max_size=2)))
-        lines.append(f"e {i} {j}")
-        edge_line.append(len(lines))
-    k = _first_bad(n, edges)
+        lines.append(item if isinstance(item, str) else f"e {item[0]} {item[1]}")
+        item_line.append(len(lines))
+    k = _first_bad(n, items)
     assert k is not None
     with pytest.raises(ValueError) as by_instance:
         Instance(n, edges)
     with pytest.raises(ParseError) as by_parse:
         parse_instance("\n".join(lines) + "\n")
-    assert by_parse.value.line == edge_line[k]
-    assert str(by_parse.value) == f"line {edge_line[k]}: {by_instance.value}"
+    assert by_parse.value.line == item_line[k]
+    if isinstance(items[k], str):
+        assert repr(items[k]) in str(by_parse.value)
+    else:
+        assert str(by_parse.value) == f"line {item_line[k]}: {by_instance.value}"
 
 
 @settings(deadline=None)
