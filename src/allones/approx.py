@@ -68,7 +68,7 @@ def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     n, m = dec.n, dec.m
     g0, g1 = compute_bounds(dec)
     cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)
-    return Solution(press=press, weight=press.weight, certificate=cert, decomposition=dec)
+    return Solution(press=press, certificate=cert, decomposition=dec)
 
 
 def solve_approx(inst: Instance) -> tuple[int, Optional[Solution]]:

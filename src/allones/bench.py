@@ -9,7 +9,6 @@ instances), so a bench run doubles as a correctness sweep.
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import Optional, Sequence
 
@@ -31,9 +30,8 @@ VIOLATION_KINDS = (
 DEFAULT_ORACLE_LIMIT = 12
 
 
-def check_instance(task: tuple[int, float, int, int]) -> dict:
+def check_instance(n: int, p: float, seed: int, oracle_limit: int) -> dict:
     """Solve one random instance and report violations, ratio and timing."""
-    n, p, seed, oracle_limit = task
     inst = gen_random_mixed(n, p, seed)
     violations: list[str] = []
     t0 = time.perf_counter()
@@ -99,32 +97,20 @@ def run_bench(
     trials: int,
     seed: int,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    workers: int = 1,
 ) -> dict:
-    """Run the corpus and aggregate; results are worker-count independent.
+    """Run the corpus and aggregate.
 
-    At most one worker process runs per CPU and per instance; "config"
-    reports the count used.  The returned dict has a deterministic
-    "config"/"results" portion and a separate "timing" portion (wall-clock,
-    varies run to run).
+    The returned dict has a "config"/"results" portion that is a
+    deterministic function of the arguments, and a separate "timing"
+    portion (wall-clock, varies run to run).
     """
     rng = SplitMix64(seed)
-    tasks = []
-    for n in sizes:
-        for t in range(trials):
-            tasks.append((n, P_VALUES[t % len(P_VALUES)], rng.next_u64(), oracle_limit))
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        try:
-            from multiprocessing import Pool
-
-            with Pool(workers) as pool:
-                records = pool.map(check_instance, tasks)
-        except OSError:  # restricted environments: fall back, results identical
-            workers = 1
-            records = [check_instance(t) for t in tasks]
-    else:
-        records = [check_instance(t) for t in tasks]
+    # instance seeds are drawn size by size, then trial by trial
+    records = [
+        check_instance(n, P_VALUES[t % len(P_VALUES)], rng.next_u64(), oracle_limit)
+        for n in sizes
+        for t in range(trials)
+    ]
 
     violations = {kind: 0 for kind in VIOLATION_KINDS}
     for rec in records:
@@ -149,7 +135,6 @@ def run_bench(
             "seed": seed,
             "pValues": list(P_VALUES),
             "oracleLimit": oracle_limit,
-            "workers": workers,
         },
         "results": {
             "instances": len(records),
@@ -181,7 +166,7 @@ def render_report(report: dict) -> str:
     tim = report["timing"]["solveMs"]
     lines = [
         f"sizes {','.join(map(str, cfg['sizes']))}  trials {cfg['trials']}"
-        f"  seed {cfg['seed']}  workers {cfg['workers']}",
+        f"  seed {cfg['seed']}",
         f"instances: {res['instances']} (feasible {res['feasible']},"
         f" infeasible {res['infeasible']})",
     ]

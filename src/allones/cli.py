@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -182,17 +181,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--oracle-limit {args.oracle_limit} exceeds {PRESS_LIMIT}")
     if args.oracle_limit < 0:
         return _fail(f"--oracle-limit {args.oracle_limit} is below 0")
-    try:
-        workers = max(1, int(os.environ.get("ALLONES_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    report = run_bench(
-        sizes,
-        args.trials,
-        args.seed,
-        oracle_limit=args.oracle_limit,
-        workers=workers,
-    )
+    report = run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
     if args.output == "json":
         print(json.dumps(report, indent=2))
     else:

@@ -329,8 +329,8 @@ def solve(
         raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
     cols = a.cols
     bmask = 1 << cols
-    bbits = b.bits
-    rows = [rb | bmask if (bbits >> i) & 1 else rb for i, rb in enumerate(a.packed_rows)]
+    flags = format(b.bits, f"0{b.n}b")[::-1]
+    rows = [rb | bmask if f == "1" else rb for f, rb in zip(flags, a.packed_rows)]
     # _basis pops from the end, so it meets the lightest rows first, ties
     # to the highest index (a reverse sort stays stable): light rows carry
     # few bits into their slots, and on a banded system such as a grid the

@@ -143,15 +143,12 @@ class Solution:
     """
 
     press: BitVec
-    weight: int
     certificate: Certificate
     decomposition: Optional[EchelonDecomposition] = field(
         default=None, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        if self.weight != self.press.weight:
-            raise ValueError("stored weight disagrees with the press vector")
         c = self.certificate
         if c.opt is not None and not c.g1 <= c.opt <= self.weight:
             raise ValueError(f"opt {c.opt} outside [g1={c.g1}, weight={self.weight}]")
@@ -159,6 +156,10 @@ class Solution:
     @property
     def n(self) -> int:
         return self.press.n
+
+    @property
+    def weight(self) -> int:
+        return self.press.weight
 
     @property
     def bound_rank(self) -> int:
