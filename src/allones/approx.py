@@ -52,21 +52,17 @@ def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
     return BitVec(dec.m, z), BitVec(dec.n, acc ^ g)
 
 
-def compute_bounds(dec: EchelonDecomposition) -> tuple[int, int]:
-    """Forced non-presses and presses over part 0: (g0, g1).
-
-    Solution.bound_mixed turns them into the bound (n + g1 - g0)/2.
-    """
-    part0 = dec.parts[0]
-    g1 = (dec.gamma.bits & part0).bit_count()
-    return part0.bit_count() - g1, g1
-
-
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
-    """Re-derive the press set from a cached decomposition (O(m) mask operations)."""
+    """Re-derive the press set from a cached decomposition (O(m) mask operations).
+
+    g1/g0 count the presses/non-presses of gamma over part 0, where every
+    solution agrees with gamma.
+    """
     _, press = greedy_assign(dec)
     n, m = dec.n, dec.m
-    g0, g1 = compute_bounds(dec)
+    part0 = dec.parts[0]
+    g1 = (dec.gamma.bits & part0).bit_count()
+    g0 = part0.bit_count() - g1
     cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)
     return Solution(press=press, certificate=cert, decomposition=dec)
 

@@ -30,45 +30,37 @@ VIOLATION_KINDS = (
 DEFAULT_ORACLE_LIMIT = 12
 
 
-def check_instance(n: int, p: float, seed: int, oracle_limit: int) -> dict:
-    """Solve one random instance and report violations, ratio and timing."""
+def check_instance(
+    n: int, p: float, seed: int, oracle_limit: int
+) -> tuple[bool, Optional[float], float, list[str]]:
+    """Solve one random instance and check it.
+
+    Returns (feasible, sol/opt or None, solve seconds, violations); the
+    ratio is set only when the exact oracles ran and agreed.
+    """
     inst = gen_random_mixed(n, p, seed)
     violations: list[str] = []
     t0 = time.perf_counter()
     _, sol = solve_approx(inst)
     solve_sec = time.perf_counter() - t0
-    record = {
-        "n": n,
-        "p": p,
-        "seed": seed,
-        "feasible": sol is not None,
-        "sol": None,
-        "m": None,
-        "opt": None,
-        "ratio": None,
-        "solveSec": solve_sec,
-        "violations": violations,
-    }
     if sol is None:
         if n <= oracle_limit and exact_by_press_enumeration(inst) is not None:
             violations.append("oracleAgreement")
-        return record
+        return False, None, solve_sec, violations
     dec = sol.decomposition
-    cert = sol.certificate
-    record["sol"] = sol.weight
-    record["m"] = cert.m
     a, b = build_system(inst)
     if mat_vec(a, sol.press) != b or not is_all_on(simulate_presses(inst, sol.press)):
         violations.append("feasibility")
-    if sol.weight > cert.r:
+    if sol.weight > sol.bound_rank:
         violations.append("rankBound")
-    if 2 * sol.weight > n + cert.g1 - cert.g0:
+    if sol.weight > sol.bound_mixed:
         violations.append("mixedBound")
     press = sol.press.bits
     for part in dec.parts[1:]:
         if 2 * (press & part).bit_count() > part.bit_count():
             violations.append("partBound")
             break
+    ratio = None
     if n <= oracle_limit:
         by_press = exact_by_press_enumeration(inst)
         # the affine set the CLI walks: the solution set of the system
@@ -77,11 +69,10 @@ def check_instance(n: int, p: float, seed: int, oracle_limit: int) -> dict:
             violations.append("oracleAgreement")
         else:
             opt = by_press[0]
-            record["opt"] = opt
-            record["ratio"] = sol.weight / opt if opt else 1.0
-            if not (cert.g1 <= opt <= sol.weight and 2 * sol.weight <= n + opt):
+            ratio = sol.weight / opt if opt else 1.0
+            if not (sol.certificate.g1 <= opt <= sol.weight and 2 * sol.weight <= n + opt):
                 violations.append("optSandwich")
-    return record
+    return True, ratio, solve_sec, violations
 
 
 def _percentile(sorted_vals: Sequence[float], q: float) -> float:
@@ -106,19 +97,19 @@ def run_bench(
     """
     rng = SplitMix64(seed)
     # instance seeds are drawn size by size, then trial by trial
-    records = [
+    checks = [
         check_instance(n, P_VALUES[t % len(P_VALUES)], rng.next_u64(), oracle_limit)
         for n in sizes
         for t in range(trials)
     ]
 
-    violations = {kind: 0 for kind in VIOLATION_KINDS}
-    for rec in records:
-        for kind in rec["violations"]:
+    violations = dict.fromkeys(VIOLATION_KINDS, 0)
+    for _, _, _, found in checks:
+        for kind in found:
             violations[kind] += 1
-    feasible = sum(1 for rec in records if rec["feasible"])
-    ratios = sorted(rec["ratio"] for rec in records if rec["ratio"] is not None)
-    times_ms = sorted(rec["solveSec"] * 1000.0 for rec in records)
+    feasible = sum(ok for ok, _, _, _ in checks)
+    ratios = sorted(ratio for _, ratio, _, _ in checks if ratio is not None)
+    times_ms = sorted(sec * 1000.0 for _, _, sec, _ in checks)
     ratio_stats: Optional[dict] = None
     if ratios:
         ratio_stats = {
@@ -137,9 +128,9 @@ def run_bench(
             "oracleLimit": oracle_limit,
         },
         "results": {
-            "instances": len(records),
+            "instances": len(checks),
             "feasible": feasible,
-            "infeasible": len(records) - feasible,
+            "infeasible": len(checks) - feasible,
             "oracleChecked": len(ratios),
             "violations": violations,
             "solOverOpt": ratio_stats,
@@ -153,10 +144,6 @@ def run_bench(
             }
         },
     }
-
-
-def total_violations(report: dict) -> int:
-    return sum(report["results"]["violations"].values())
 
 
 def render_report(report: dict) -> str:

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .approx import solve_approx
-from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench, total_violations
+from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench
 from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
 from .instance_io import (
@@ -38,11 +38,11 @@ DEFAULT_EXACT_LIMIT = 16
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; 2 is reserved for
-    # "infeasible" here, so remap usage problems to exit 1
+    # argparse prints the usage and exits with status 2 on usage errors; 2
+    # is reserved for "infeasible" here, so report them like every other
+    # bad input: one error line, exit 1
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        sys.exit(_fail(f"{self.prog}: {message}"))
 
 
 def _fail(message: str) -> int:
@@ -186,7 +186,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
     else:
         sys.stdout.write(render_report(report))
-    return EXIT_OK if total_violations(report) == 0 else EXIT_USAGE
+    return EXIT_USAGE if any(report["results"]["violations"].values()) else EXIT_OK
 
 
 def _build_parser() -> _Parser:

@@ -349,27 +349,24 @@ def solve(
     # back-substitute to the reduced row echelon form, highest pivot first:
     # a row with a higher pivot is already reduced, so it carries no pivot
     # bit but its own, and XORing it in clears that bit without setting
-    # another one; only the pivot bits a row holds cost a step
+    # another one; only the pivot bits a row holds cost a step.  A reduced
+    # row is final, so its b bit goes to gamma at once, and the null
+    # vector of free column c gains the pivot bit of every reduced row
+    # that holds c; pivot columns keep a 0 placeholder
+    freemask = ((1 << cols) - 1) ^ pivmask
+    vecs = [0 if basis[c + 1] else 1 << c for c in range(cols)]
+    gamma = 0
     for k in range(cols, 0, -1):
         row = basis[k]
         if not row:
             continue
-        x = (row & pivmask) ^ (1 << (k - 1))
+        piv = 1 << (k - 1)
+        x = (row & pivmask) ^ piv
         while x:
             low = x & -x
             row ^= basis[low.bit_length()]
             x ^= low
         basis[k] = row
-    # the null vector of free column c holds bit c and the pivot bit of
-    # every reduced row that holds c; pivot columns keep a 0 placeholder
-    freemask = ((1 << cols) - 1) ^ pivmask
-    vecs = [0 if basis[c + 1] else 1 << c for c in range(cols)]
-    gamma = 0
-    for k in range(1, cols + 1):
-        row = basis[k]
-        if not row:
-            continue
-        piv = 1 << (k - 1)
         if row & bmask:
             gamma |= piv
         f = row & freemask

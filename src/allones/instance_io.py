@@ -46,12 +46,6 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def chance(self, p: float) -> bool:
-        """Bernoulli draw; consumes exactly one u64."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        return self.next_u64() < int(p * 2.0**64)
-
     def bits(self, n: int) -> int:
         """n random bits packed into an int, 64 per draw, low bits first."""
         if n < 0:
@@ -209,7 +203,6 @@ def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
     """One Bernoulli draw from rng per pair (i, j), i < j, in sorted order."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    # the test of SplitMix64.chance, with its threshold computed once
     threshold = int(p * 2.0**64)
     draw = rng.next_u64
     return [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < threshold]

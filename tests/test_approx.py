@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 
 from allones.approx import (
-    compute_bounds,
     decompose,
     greedy_assign,
     solve_approx,
@@ -183,13 +182,18 @@ class TestSolveApprox:
 
 
 class TestComputeBounds:
+    @staticmethod
+    def _g0_g1(dec):
+        cert = solve_from_decomposition(dec).certificate
+        return cert.g0, cert.g1
+
     def test_empty_part_zero(self):
         dec = _dec(2, [0b11], 0b01)
-        assert compute_bounds(dec) == (0, 0)
+        assert self._g0_g1(dec) == (0, 0)
 
     def test_counts_forced_rows(self):
         dec = _dec(3, [], 0b100)  # part 0 gammas (0,0,1)
-        assert compute_bounds(dec) == (2, 1)
+        assert self._g0_g1(dec) == (2, 1)
         assert solve_from_decomposition(dec).bound_mixed == Fraction(3 - 1, 2)
 
     def test_solution_properties_expose_bounds(self):

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON schema, determinism, bench report."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -239,6 +240,57 @@ class TestBench:
             "solOverOpt": {"count": 30, "mean": 1.0, "max": 1.0, "p50": 1.0, "p90": 1.0},
         }
 
+    @staticmethod
+    def _doctor_press(monkeypatch, make_bits):
+        real = bench.solve_approx
+
+        def doctored(inst):
+            r, sol = real(inst)
+            if sol is None:
+                return r, None
+            press = gf2.BitVec(sol.n, make_bits(sol.press.bits, sol.n))
+            return r, dataclasses.replace(sol, press=press)
+
+        monkeypatch.setattr(bench, "solve_approx", doctored)
+
+    @staticmethod
+    def _counts(**nonzero):
+        return {kind: nonzero.get(kind, 0) for kind in bench.VIOLATION_KINDS}
+
+    def _violations(self):
+        return bench.run_bench([8, 12], 30, seed=1, oracle_limit=12)["results"][
+            "violations"
+        ]
+
+    def test_flipped_press_bit_is_caught(self, monkeypatch, capsys):
+        self._doctor_press(monkeypatch, lambda bits, n: bits ^ 1)
+        assert self._violations() == self._counts(
+            feasibility=30, mixedBound=14, optSandwich=14
+        )
+        assert cli.main(["bench", "--sizes", "8", "--trials", "3", "--seed", "1"]) == 1
+        assert "violations: feasibility=1, mixedBound=1" in capsys.readouterr().out
+
+    def test_all_ones_press_is_caught(self, monkeypatch):
+        self._doctor_press(monkeypatch, lambda bits, n: (1 << n) - 1)
+        assert self._violations() == self._counts(
+            feasibility=30, rankBound=10, mixedBound=30, partBound=10, optSandwich=30
+        )
+
+    def test_missed_solution_is_caught(self, monkeypatch):
+        real = bench.solve_approx
+        monkeypatch.setattr(bench, "solve_approx", lambda inst: (real(inst)[0], None))
+        assert self._violations() == self._counts(oracleAgreement=30)
+
+    def test_wrong_exact_opt_is_caught(self, monkeypatch):
+        real = bench.exact_by_nullspace
+
+        def doctored(gamma, basis):
+            opt, vec = real(gamma, basis)
+            return opt + 1, vec
+
+        monkeypatch.setattr(bench, "exact_by_nullspace", doctored)
+        assert self._violations() == self._counts(oracleAgreement=30)
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -264,6 +316,26 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "FILE", "--exact-limit", "abc"],
+            ["bench", "--trials", "x"],
+            ["solve", "FILE", "--bogus"],
+            ["solve"],
+            [],
+        ],
+        ids=["bad-int", "bad-trials", "unknown-flag", "no-file", "no-command"],
+    )
+    def test_argparse_faults_fail_cleanly(self, k2_file, argv):
+        argv = [k2_file if a == "FILE" else a for a in argv]
+        assert_clean_usage_error(run_cli(*argv))
+
+    def test_help_exits_zero(self):
+        res = run_cli("solve", "-h")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: allones solve")
 
     def test_solve_json_deterministic_bytes(self, k2_file):
         a = run_cli("solve", k2_file, "--output", "json")

@@ -196,13 +196,10 @@ class TestSplitMix64:
             0x06C45D188009454F,
         ]
 
-    def test_below_and_chance(self):
+    def test_below(self):
         rng = SplitMix64(42)
         vals = [rng.below(10) for _ in range(1000)]
         assert set(vals) <= set(range(10))
-        rng = SplitMix64(42)
-        assert not any(rng.chance(0.0) for _ in range(100))
-        assert all(rng.chance(1.0) for _ in range(100))
 
     def test_bits_width(self):
         rng = SplitMix64(1)
