@@ -14,9 +14,8 @@ from typing import Optional, Sequence
 
 from .approx import solve_approx
 from .exact import exact_by_nullspace, exact_by_press_enumeration
-from .gf2 import mat_vec
 from .instance_io import SplitMix64, gen_random_mixed
-from .lamps import build_system, is_all_on, simulate_presses
+from .lamps import is_all_on, simulate_presses
 
 P_VALUES = (0.2, 0.5, 0.8)
 VIOLATION_KINDS = (
@@ -48,8 +47,7 @@ def check_instance(
             violations.append("oracleAgreement")
         return False, None, solve_sec, violations
     dec = sol.decomposition
-    a, b = build_system(inst)
-    if mat_vec(a, sol.press) != b or not is_all_on(simulate_presses(inst, sol.press)):
+    if not is_all_on(simulate_presses(inst, sol.press)):
         violations.append("feasibility")
     if sol.weight > sol.bound_rank:
         violations.append("rankBound")

@@ -75,13 +75,11 @@ class BitVec:
     @classmethod
     def from01(cls, text: str) -> "BitVec":
         """Parse a string like '0110', leftmost character = coordinate 0."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"character {ch!r} is not '0' or '1'")
-        return cls(len(text), bits)
+        # strip leaves the first character that is not '0' or '1' in front
+        bad = text.strip("01")
+        if bad:
+            raise ValueError(f"character {bad[0]!r} is not '0' or '1'")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @property
     def weight(self) -> int:
@@ -99,7 +97,7 @@ class BitVec:
         return out
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __len__(self) -> int:
         return self.n
@@ -297,18 +295,6 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
             low[i] = (row & -row).bit_length() - 1 if row else ncols
         pivots.append(c)
     return pivots
-
-
-def mat_vec(m: BitMat, v: BitVec) -> BitVec:
-    """Matrix-vector product over GF(2)."""
-    if m.cols != v.n:
-        raise ValueError(f"matrix has {m.cols} columns but vector length is {v.n}")
-    out = 0
-    vb = v.bits
-    for i, rb in enumerate(m.packed_rows):
-        if (rb & vb).bit_count() & 1:
-            out |= 1 << i
-    return BitVec(m.rows, out)
 
 
 def solve(

@@ -9,11 +9,25 @@ File format (line oriented, '#' starts a comment line):
 
 Rendering always emits the three header lines followed by the edges in
 canonical sorted order, so parse(render(x)) == x.
+
+Text in the layout rendering writes takes a bulk path, with the edges in
+any order and either endpoint first: the three header lines with single
+spaces, then only lines that are exactly 'e <i> <j>', endpoints in ASCII
+digits without leading zeros, and every line ending in '\n'.  Regular
+expressions admit such text slab by slab; each slab is split into tokens,
+and the edges are checked in whole-list passes, with no Python loop per
+line.  Any other text, and any text the bulk path finds a fault in, goes
+to the line-by-line parser.  So every other valid layout (comments, blank
+lines, CRLF, tabs, extra spaces, a missing final newline) parses to the
+same Instance, and only the line parser raises ParseError, naming the
+first bad line in file order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from itertools import islice
+from typing import Iterator, Optional
 
 from .gf2 import BitVec
 from .lamps import EdgeError, Instance, SwitchType
@@ -66,17 +80,63 @@ class ParseError(ValueError):
         self.line = line
 
 
+_SWITCH_OF = {s.value: s for s in SwitchType}
+
+# The layout render_instance writes, with edges in any order: the header
+# (n, the switch string and the state string are groups 1-3), then lines
+# that are each exactly 'e <i> <j>'
+_HEADER = re.compile(r"allones ([1-9][0-9]*)\nswitches ([+-]+)\non ([01]+)\n")
+_EDGE_LINES = re.compile(r"(?:e (?!0[0-9])[0-9]+ (?!0[0-9])[0-9]+\n)*")
+
+# characters of edge lines matched and split at a time; a match keeps
+# state for every line it has read, and a split a token for every number,
+# so only one slab's worth of either is alive at once
+_SLAB = 1 << 14
+
+
 def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
     """'+'/'-' characters to switch types; raises ValueError on others."""
-    out = []
-    for ch in text:
-        if ch == "+":
-            out.append(SwitchType.SIGMA_PLUS)
-        elif ch == "-":
-            out.append(SwitchType.SIGMA)
-        else:
-            raise ValueError(f"switch character {ch!r} is not '+' or '-'")
-    return tuple(out)
+    # strip leaves the first character that is not '+' or '-' in front
+    bad = text.strip("+-")
+    if bad:
+        raise ValueError(f"switch character {bad[0]!r} is not '+' or '-'")
+    return tuple(map(_SWITCH_OF.__getitem__, text))
+
+
+def _edge_endpoints(text: str, start: int) -> Optional[tuple[list[int], list[int]]]:
+    """Both endpoint columns of the edge lines from start on, or None if
+    some line there is not exactly 'e <i> <j>'."""
+    left: list[int] = []
+    right: list[int] = []
+    end = len(text)
+    while start < end:
+        # a slab ends at a newline, or at the end of the text
+        stop = text.find("\n", start + _SLAB) + 1 or end
+        if _EDGE_LINES.fullmatch(text, start, stop) is None:
+            return None
+        tokens = text[start:stop].split()
+        left += map(int, islice(tokens, 1, None, 3))
+        right += map(int, islice(tokens, 2, None, 3))
+        start = stop
+    return left, right
+
+
+def _parse_canonical(text: str) -> Optional[Instance]:
+    """The bulk path: the instance for canonical-layout text, or None."""
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    try:
+        n = int(header[1])
+        if len(header[2]) != n or len(header[3]) != n:
+            return None
+        endpoints = _edge_endpoints(text, header.end())
+    except ValueError:  # a number longer than int() converts
+        return None
+    if endpoints is None:
+        return None
+    switches = parse_switch_string(header[2])
+    return Instance._from_endpoints(n, *endpoints, switches, BitVec.from01(header[3]))
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -89,6 +149,14 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def parse_instance(text: str) -> Instance:
     """Parse the text format; raises ParseError with a line number."""
+    inst = _parse_canonical(text)
+    if inst is None:
+        inst = _parse_lines(text)
+    return inst
+
+
+def _parse_lines(text: str) -> Instance:
+    """The line-by-line parser: any valid layout, and every ParseError."""
     lines = _significant_lines(text)
 
     def next_line(expected: str) -> tuple[int, list[str]]:
@@ -128,9 +196,10 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(
             lineno, f"state string has length {len(fields[1])}, expected {n}"
         )
-    if any(ch not in "01" for ch in fields[1]):
-        raise ParseError(lineno, "state string may contain only '0' and '1'")
-    initially_on = BitVec.from01(fields[1])
+    try:
+        initially_on = BitVec.from01(fields[1])
+    except ValueError:
+        raise ParseError(lineno, "state string may contain only '0' and '1'") from None
 
     # Instance validates the edges as it consumes them, so the first bad
     # edge it reports is also the first bad line in file order

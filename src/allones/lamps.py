@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
+from operator import eq, lt
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition
@@ -83,18 +85,54 @@ class Instance:
         self.switches = switches
         self.initially_on = initially_on
 
+    @classmethod
+    def _from_endpoints(
+        cls,
+        n: int,
+        left: list[int],
+        right: list[int],
+        switches: tuple[SwitchType, ...],
+        initially_on: BitVec,
+    ) -> Optional["Instance"]:
+        """The instance on edges (left[k], right[k]), or None where
+        __init__ would raise; it never raises.
+
+        The same per-edge rules as __init__, checked in whole-list passes
+        for bulk input.  Endpoints must be non-negative ints, and switches
+        and initially_on must already hold n entries.
+        """
+        if not all(map(lt, left, right)):
+            if any(map(eq, left, right)):
+                return None
+            left, right = list(map(min, left, right)), list(map(max, left, right))
+        if right and max(right) >= n:
+            return None
+        # one tuple per edge, made once the endpoints are known to be good
+        edges = list(zip(left, right))
+        if not all(map(lt, edges, islice(edges, 1, None))):
+            edges.sort()
+            # after the sort, a repeated edge sits next to its twin
+            if any(map(eq, edges, islice(edges, 1, None))):
+                return None
+        self = cls.__new__(cls)
+        self.n = n
+        self.edges = tuple(edges)
+        self.switches = switches
+        self.initially_on = initially_on
+        return self
+
     def toggle_masks(self) -> tuple[int, ...]:
         """Packed per-vertex toggle sets: neighbors, plus self for SIGMA_PLUS.
 
         mask[v] is also row v of the press-effect matrix.
         """
+        bit = [1 << v for v in range(self.n)]
         masks = [
-            1 << v if s is SwitchType.SIGMA_PLUS else 0
-            for v, s in enumerate(self.switches)
+            b if s is SwitchType.SIGMA_PLUS else 0 for b, s in zip(bit, self.switches)
         ]
         for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+            masks[i] |= bit[j]
+            masks[j] |= bit[i]
         return tuple(masks)
 
     def __eq__(self, other: object) -> bool:

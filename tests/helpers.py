@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from allones import BitVec, Instance, SwitchType
+from allones import BitMat, BitVec, Instance, SwitchType
 
 
 def random_instance(rnd: random.Random, max_n: int = 64) -> Instance:
@@ -22,3 +22,15 @@ def random_instance(rnd: random.Random, max_n: int = 64) -> Instance:
         for _ in range(n)
     )
     return Instance(n, edges, switches, BitVec(n, rnd.getrandbits(n)))
+
+
+def mat_vec(m: BitMat, v: BitVec) -> BitVec:
+    """Matrix-vector product over GF(2)."""
+    if m.cols != v.n:
+        raise ValueError(f"matrix has {m.cols} columns but vector length is {v.n}")
+    out = 0
+    vb = v.bits
+    for i, rb in enumerate(m.packed_rows):
+        if (rb & vb).bit_count() & 1:
+            out |= 1 << i
+    return BitVec(m.rows, out)

@@ -20,7 +20,7 @@ from allones.approx import (
     solve_from_decomposition,
 )
 from allones.exact import exact_by_nullspace, exact_by_press_enumeration
-from allones.gf2 import BitVec, column_echelon_grouped, mat_vec, solve
+from allones.gf2 import BitVec, column_echelon_grouped, solve
 from allones.instance_io import (
     SplitMix64,
     gen_grid,
@@ -29,6 +29,7 @@ from allones.instance_io import (
     render_instance,
 )
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
+from helpers import mat_vec
 
 CORPUS_SIZE = 5000
 CORPUS_SEED = 77

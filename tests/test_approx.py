@@ -11,7 +11,7 @@ from allones.approx import (
     solve_from_decomposition,
 )
 from allones.exact import exact_by_press_enumeration
-from allones.gf2 import BitMat, BitVec, EchelonDecomposition, mat_vec
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition
 from allones.instance_io import (
     SplitMix64,
     gen_complete,
@@ -21,7 +21,7 @@ from allones.instance_io import (
     parse_instance,
 )
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
-from helpers import random_instance
+from helpers import mat_vec, random_instance
 
 
 def _dec(n, vecs, gamma_bits):

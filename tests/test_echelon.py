@@ -11,11 +11,11 @@ from allones.gf2 import (
     BitVec,
     _eliminate,
     column_echelon_grouped,
-    mat_vec,
     solve,
 )
 from allones.instance_io import gen_random_tree
 from allones.lamps import build_system
+from helpers import mat_vec
 
 
 def affine_set(vecs, gamma_bits):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from allones.gf2 import BitMat, BitVec, mat_vec, solve
+from allones.gf2 import BitMat, BitVec, solve
+from helpers import mat_vec
 
 
 def _matches_oracle(a, b):
@@ -79,6 +80,17 @@ class TestBitVec:
         assert v.to01() == "010011"
         assert v.indices() == [1, 4, 5]
         assert BitVec.from01(v.to01()) == v
+
+    def test_from01_edges(self):
+        assert BitVec.from01("") == BitVec(0)
+        assert BitVec(0).to01() == ""
+        assert BitVec.from01("0001") == BitVec(4, 0b1000)
+        assert BitVec(4, 0b1000).to01() == "0001"
+        # the first character that is not '0' or '1' is named, wherever it is
+        for text, bad in (("01x1y", "x"), ("2", "2"), ("0 1", " "), ("01+", "+"), ("_1", "_")):
+            with pytest.raises(ValueError) as exc:
+                BitVec.from01(text)
+            assert str(exc.value) == f"character {bad!r} is not '0' or '1'"
 
     def test_from_bits_rejects_non_binary(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from allones import instance_io
 from allones.gf2 import BitVec
 from allones.instance_io import (
     ParseError,
     SplitMix64,
+    _parse_canonical,
+    _parse_lines,
     gen_complete,
     gen_cycle,
     gen_grid,
@@ -99,6 +102,52 @@ class TestParseErrors:
     def test_zero_vertices_rejected(self):
         with pytest.raises(ParseError, match=">= 1"):
             parse_instance("allones 0\nswitches \non \n")
+
+
+K3_TEXT = "allones 3\nswitches +-+\non 010\ne 0 1\ne 1 2\n"
+
+
+class TestBulkPath:
+    def test_rendered_text_takes_the_bulk_path(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line parser was reached")
+
+        monkeypatch.setattr(instance_io, "_significant_lines", refuse)
+        # the tree's text spans several slabs
+        for inst in (
+            gen_grid(9, 7),
+            gen_random_tree(12000, seed=3),
+            gen_random_gnp(80, 0.3, seed=4),
+            gen_random_mixed(60, 0.5, seed=5),
+        ):
+            lines = render_instance(inst).splitlines(keepends=True)
+            assert parse_instance("".join(lines)) == inst
+            # the same edges in reverse file order, endpoints swapped
+            swapped = [f"e {j} {i}\n" for i, j in reversed(inst.edges)]
+            assert parse_instance("".join(lines[:3] + swapped)) == inst
+
+    # layouts the differential property test does not generate
+    @pytest.mark.parametrize(
+        "text",
+        [
+            K3_TEXT.replace("e 0 1", "e 0 1 "),
+            K3_TEXT.replace("allones 3", "allones 03"),
+            K3_TEXT + "e 0 " + "9" * 5000 + "\n",
+            K3_TEXT.replace("+-+", "+-"),
+            K3_TEXT.replace("010", "01"),
+            K3_TEXT + "f 0 2\n",
+        ],
+    )
+    def test_other_layouts_fall_back(self, text):
+        assert _parse_canonical(text) is None
+        try:
+            expected = _parse_lines(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_instance(text)
+            assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+        else:
+            assert parse_instance(text) == expected == _parse_canonical(K3_TEXT)
 
 
 class TestGenerators:

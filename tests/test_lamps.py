@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from allones.gf2 import BitMat, BitVec, mat_vec
+from allones.gf2 import BitMat, BitVec
 from allones.lamps import (
     EdgeError,
     Instance,
@@ -13,7 +13,7 @@ from allones.lamps import (
     is_all_on,
     simulate_presses,
 )
-from helpers import random_instance
+from helpers import mat_vec, random_instance
 
 PLUS = SwitchType.SIGMA_PLUS
 MINUS = SwitchType.SIGMA

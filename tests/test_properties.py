@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 from allones.gf2 import BitVec
 from allones.instance_io import (
     ParseError,
+    _parse_canonical,
+    _parse_lines,
+    gen_complete,
+    gen_cycle,
+    gen_grid,
+    gen_path,
     gen_random_gnp,
     gen_random_mixed,
+    gen_random_tree,
     parse_instance,
     render_instance,
 )
@@ -109,3 +116,84 @@ def test_instance_sorts_canonical_edges(data):
         for e in data.draw(st.permutations(canonical))
     ]
     assert Instance(n, edges).edges == tuple(sorted(canonical))
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+GENERATED = st.one_of(
+    st.integers(1, 30).map(gen_path),
+    st.integers(1, 30).map(gen_cycle),
+    st.integers(1, 12).map(gen_complete),
+    st.builds(gen_grid, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(gen_random_gnp, st.integers(1, 30), st.floats(0.0, 1.0), SEEDS),
+    st.builds(gen_random_tree, st.integers(1, 40), SEEDS),
+    st.builds(gen_random_mixed, st.integers(1, 30), st.floats(0.0, 1.0), SEEDS),
+    instances(),
+)
+
+# other spellings of an endpoint that int() reads, which the bulk path
+# declines: a leading zero, a plus sign, Arabic-Indic digits
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+SPELLINGS = [
+    lambda v: f"0{v}",
+    lambda v: f"+{v}",
+    lambda v: str(v).translate(ARABIC_INDIC),
+]
+
+
+@settings(deadline=None)
+@given(GENERATED, st.data())
+def test_bulk_path_agrees_with_line_parser(inst, data):
+    """parse_instance takes the bulk path or the line parser; on every
+    perturbation of rendered text it answers as the line parser does."""
+    n = inst.n
+    header = render_instance(inst).splitlines()[:3]
+    edges = list(inst.edges)
+    if data.draw(st.booleans()):
+        edges = data.draw(st.permutations(edges))
+    edges = [data.draw(st.sampled_from([e, e[::-1]])) for e in edges]
+    # reordered edges keep the canonical layout, so the bulk path answers
+    canonical = True
+    fault = data.draw(st.sampled_from([None, "self-loop", "duplicate", "out of range"]))
+    if fault is not None and (fault != "duplicate" or edges):
+        if fault == "self-loop":
+            bad = (data.draw(st.integers(0, n - 1)),) * 2
+        elif fault == "duplicate":
+            bad = data.draw(st.sampled_from(edges))[::-1]
+        else:
+            bad = (data.draw(st.integers(0, n - 1)), n + data.draw(st.integers(0, 3)))
+        edges.insert(data.draw(st.integers(0, len(edges))), bad)
+        canonical = False
+    lines = header + [f"e {i} {j}" for i, j in edges]
+    if edges and data.draw(st.booleans()):
+        k = data.draw(st.integers(3, len(lines) - 1))
+        spell = data.draw(st.sampled_from(SPELLINGS))
+        _, i, j = lines[k].split()
+        lines[k] = f"e {spell(int(i))} {j}"
+        canonical = False
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].replace(" ", data.draw(st.sampled_from(["\t", "  ", " \t"])), 1)
+        canonical = False
+    for _ in range(data.draw(st.integers(0, 2))):
+        extra = data.draw(st.sampled_from(["", "# note", "  ", "#"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        canonical = False
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    if data.draw(st.booleans()):
+        text += newline
+    canonical = canonical and newline == "\n" and text.endswith("\n")
+
+    bulk = _parse_canonical(text)
+    try:
+        expected = _parse_lines(text)
+    except ParseError as exc:
+        assert bulk is None
+        with pytest.raises(ParseError) as got:
+            parse_instance(text)
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+    else:
+        assert expected == inst
+        assert parse_instance(text) == expected
+        assert (bulk is not None) == canonical
+        assert bulk is None or bulk == expected
