@@ -85,7 +85,7 @@ def run_bench(
     sizes: Sequence[int],
     trials: int,
     seed: int,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
+    oracle_limit: int,
 ) -> dict:
     """Run the corpus and aggregate.
 

@@ -102,16 +102,14 @@ def _gray_walk(gamma: int, vecs: tuple[int, ...]) -> tuple[int, int]:
     return best_w, best_u
 
 
-def exact_by_nullspace(
-    gamma: BitVec, null_basis: BitMat, limit: int = NULLSPACE_LIMIT
-) -> Optional[tuple[int, BitVec]]:
+def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> Optional[tuple[int, BitVec]]:
     """Minimum-weight vector of the affine set gamma + span(null_basis rows).
 
     null_basis is m x n, one basis vector per row, as gf2.solve returns it
     and EchelonDecomposition.basis stores it; pass either with its gamma to
     get the minimum-weight solution of a.u = b.  Returns (opt, argmin)
     where ties are broken by the lexicographically smallest combination
-    vector; returns None when m exceeds ``limit``.
+    vector; returns None when m exceeds NULLSPACE_LIMIT.
 
     Grouping the vertices by the last basis vector that touches them
     (``EchelonDecomposition.parts``) makes a chain, which ``_part_dp``
@@ -124,7 +122,7 @@ def exact_by_nullspace(
     if gamma.n != null_basis.cols:
         raise ValueError(f"gamma length {gamma.n} does not match {null_basis.cols} columns")
     m = null_basis.rows
-    if m > limit:
+    if m > NULLSPACE_LIMIT:
         return None
     vecs = null_basis.packed_rows
     parts = EchelonDecomposition(null_basis, gamma).parts
@@ -136,19 +134,17 @@ def exact_by_nullspace(
     return opt, BitVec(gamma.n, argmin)
 
 
-def exact_by_press_enumeration(
-    inst: Instance, limit: int = PRESS_LIMIT
-) -> Optional[tuple[int, BitVec]]:
+def exact_by_press_enumeration(inst: Instance) -> Optional[tuple[int, BitVec]]:
     """Minimum press set by trying all 2**n press patterns.
 
     Pure toggle arithmetic, no linear algebra.  Returns (opt, argmin) with
     ties broken by the lexicographically smallest press vector, or None
     when no pattern lights every lamp.  Raises ValueError when n exceeds
-    ``limit``.
+    PRESS_LIMIT.
     """
     n = inst.n
-    if n > limit:
-        raise ValueError(f"{n} vertices exceed the press enumeration limit {limit}")
+    if n > PRESS_LIMIT:
+        raise ValueError(f"{n} vertices exceed the press enumeration limit {PRESS_LIMIT}")
     masks = inst.toggle_masks()
     target = (1 << n) - 1
     state = inst.initially_on.bits

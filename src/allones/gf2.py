@@ -48,22 +48,6 @@ class BitVec:
         return cls(n, 0)
 
     @classmethod
-    def ones(cls, n: int) -> "BitVec":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVec":
-        """Build from an iterable of 0/1 values, first value = coordinate 0."""
-        bits = 0
-        n = 0
-        for v in values:
-            if v not in (0, 1):
-                raise ValueError(f"bit value {v!r} is not 0 or 1")
-            bits |= v << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVec":
         bits = 0
         for i in indices:
@@ -107,11 +91,6 @@ class BitVec:
             raise IndexError(f"bit index {i} out of range for length {self.n}")
         return (self.bits >> i) & 1
 
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitVec(self.n, self.bits ^ other.bits)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitVec)
@@ -143,39 +122,9 @@ class BitMat:
         self.cols = cols
         self._rows = tuple(row_bits)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMat":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMat":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, vecs: Sequence[BitVec]) -> "BitMat":
-        if not vecs:
-            raise ValueError("cannot infer width from an empty row list")
-        cols = vecs[0].n
-        if any(v.n != cols for v in vecs):
-            raise ValueError("rows have mixed lengths")
-        return cls(len(vecs), cols, [v.bits for v in vecs])
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "BitMat":
-        return cls.from_rows([BitVec.from_bits(row) for row in entries])
-
     @property
     def packed_rows(self) -> tuple[int, ...]:
         return self._rows
-
-    def transpose(self) -> "BitMat":
-        out = [0] * self.cols
-        for i, rb in enumerate(self._rows):
-            while rb:
-                low = rb & -rb
-                out[low.bit_length() - 1] |= 1 << i
-                rb ^= low
-        return BitMat(self.cols, self.rows, out)
 
     def __eq__(self, other: object) -> bool:
         return (

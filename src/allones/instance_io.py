@@ -80,6 +80,11 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _clip(text: str) -> str:
+    """Input text to echo in a message, cut to 40 characters and '...'."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 _SWITCH_OF = {s.value: s for s in SwitchType}
 
 # The layout render_instance writes, with edges in any order: the header
@@ -173,16 +178,16 @@ def _parse_lines(text: str) -> Instance:
     try:
         n = int(fields[1])
     except ValueError:
-        raise ParseError(lineno, f"vertex count {fields[1]!r} is not an integer") from None
+        raise ParseError(lineno, f"vertex count {_clip(fields[1])!r} is not an integer") from None
     if n < 1:
-        raise ParseError(lineno, f"vertex count must be >= 1, got {n}")
+        raise ParseError(lineno, f"vertex count must be >= 1, got {_clip(str(n))}")
 
     lineno, fields = next_line("the 'switches' line")
     if len(fields) != 2 or fields[0] != "switches":
         raise ParseError(lineno, "expected 'switches <string of +/->'")
     if len(fields[1]) != n:
         raise ParseError(
-            lineno, f"switch string has length {len(fields[1])}, expected {n}"
+            lineno, f"switch string has length {len(fields[1])}, expected {_clip(str(n))}"
         )
     try:
         switches = parse_switch_string(fields[1])
@@ -209,11 +214,11 @@ def _parse_lines(text: str) -> Instance:
         for lineno, line in lines:
             fields = line.split()
             if fields[0] != "e" or len(fields) != 3:
-                raise ParseError(lineno, f"expected 'e <i> <j>', got {line!r}")
+                raise ParseError(lineno, f"expected 'e <i> <j>', got {_clip(line)!r}")
             try:
                 i, j = int(fields[1]), int(fields[2])
             except ValueError:
-                raise ParseError(lineno, f"edge endpoints in {line!r} are not integers") from None
+                raise ParseError(lineno, f"edge endpoints in {_clip(line)!r} are not integers") from None
             edge_lines.append(lineno)
             yield i, j
 

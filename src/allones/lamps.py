@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from operator import eq, lt
+from operator import eq, index, lt
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition
@@ -36,10 +36,11 @@ class EdgeError(ValueError):
 class Instance:
     """A lamp-lighting instance: graph, switch types, initial lamp states.
 
-    Edges are canonicalized to a sorted tuple of (min, max) pairs, so two
-    instances describing the same graph compare equal.  Self-loops,
-    duplicate edges and out-of-range endpoints are rejected with an
-    EdgeError naming the first bad edge in input order.
+    Edges are canonicalized to a sorted tuple of (min, max) pairs of plain
+    ints, so two instances describing the same graph compare equal.
+    Non-integer endpoints, self-loops, duplicate edges and out-of-range
+    endpoints are rejected with an EdgeError naming the first bad edge in
+    input order.
     """
 
     __slots__ = ("n", "edges", "switches", "initially_on")
@@ -56,6 +57,11 @@ class Instance:
         canon = []
         seen = set()
         for idx, (i, j) in enumerate(edges):
+            try:
+                # bools and numpy ints become plain ints; floats and strings fail
+                i, j = index(i), index(j)
+            except TypeError:
+                raise EdgeError(idx, f"edge ({i!r}, {j!r}) has a non-integer endpoint") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise EdgeError(idx, f"edge ({i}, {j}) out of range for {n} vertices")
             if i == j:

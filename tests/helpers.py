@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from allones import BitMat, BitVec, Instance, SwitchType
 
@@ -34,3 +35,9 @@ def mat_vec(m: BitMat, v: BitVec) -> BitVec:
         if (rb & vb).bit_count() & 1:
             out |= 1 << i
     return BitVec(m.rows, out)
+
+
+def bitmat(entries: Sequence[Sequence[int]]) -> BitMat:
+    """Matrix of 0/1 rows: entries[i][c] is bit c of row i."""
+    packed = [sum(v << c for c, v in enumerate(row)) for row in entries]
+    return BitMat(len(entries), len(entries[0]), packed)

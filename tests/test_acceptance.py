@@ -204,7 +204,7 @@ def test_criterion_6_all_on_needs_nothing():
     rng = SplitMix64(4242)
     for trial in range(300):
         base = gen_random_mixed(4 + trial % 9, P_CYCLE[trial % 3], rng.next_u64())
-        inst = Instance(base.n, base.edges, base.switches, BitVec.ones(base.n))
+        inst = Instance(base.n, base.edges, base.switches, BitVec(base.n, (1 << base.n) - 1))
         _, sol = solve_approx(inst)
         if sol is None or sol.weight != 0:
             violations.append(f"trial {trial}: weight {None if sol is None else sol.weight}")

@@ -94,7 +94,7 @@ class TestGreedyAssign:
 class TestSolveApprox:
     def test_all_lamps_on_needs_no_press(self):
         grid = gen_grid(3, 3)
-        inst = Instance(grid.n, grid.edges, None, BitVec.ones(9))
+        inst = Instance(grid.n, grid.edges, None, BitVec(9, (1 << 9) - 1))
         _, sol = solve_approx(inst)
         assert sol.weight == 0
         assert sol.press == BitVec.zeros(9)

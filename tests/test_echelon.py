@@ -15,7 +15,7 @@ from allones.gf2 import (
 )
 from allones.instance_io import gen_random_tree
 from allones.lamps import build_system
-from helpers import mat_vec
+from helpers import bitmat, mat_vec
 
 
 def affine_set(vecs, gamma_bits):
@@ -63,7 +63,7 @@ def test_empty_basis_is_all_part_zero():
 def test_two_column_grouping():
     # basis vectors (1,1,0,0) and (1,1,1,1); the reduced pair spans the
     # same space with the second pivot strictly below the first
-    basis = BitMat.from_lists([[1, 1, 0, 0], [1, 1, 1, 1]])
+    basis = bitmat([[1, 1, 0, 0], [1, 1, 1, 1]])
     gamma = BitVec.zeros(4)
     dec = column_echelon_grouped(basis, gamma)
     assert all(dec.parts[1:])
@@ -75,7 +75,7 @@ def test_two_column_grouping():
 def test_rows_between_pivots_keep_their_group():
     # no basis vector touches vertex 1, so it alone is part 0; no vertex
     # moves
-    basis = BitMat.from_lists([[1, 0, 1, 0], [0, 0, 1, 1]])
+    basis = bitmat([[1, 0, 1, 0], [0, 0, 1, 1]])
     dec = column_echelon_grouped(basis, BitVec.from01("0111"))
     assert all(dec.parts[1:])
     assert dec.parts == (0b0010, 0b0001, 0b1100)
@@ -85,7 +85,7 @@ def test_rows_between_pivots_keep_their_group():
 
 def test_rejects_column_rank_deficiency():
     with pytest.raises(ValueError):
-        column_echelon_grouped(BitMat.from_lists([[1, 1], [1, 1]]), BitVec.zeros(2))
+        column_echelon_grouped(bitmat([[1, 1], [1, 1]]), BitVec.zeros(2))
 
 
 def test_rejects_gamma_length_mismatch():

@@ -12,7 +12,7 @@ from allones.exact import exact_by_nullspace, exact_by_press_enumeration
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, solve
 from allones.instance_io import gen_complete, gen_grid, gen_random_mixed, gen_random_tree
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
-from helpers import mat_vec, random_instance
+from helpers import bitmat, mat_vec, random_instance
 
 PLUS = SwitchType.SIGMA_PLUS
 MINUS = SwitchType.SIGMA
@@ -54,14 +54,15 @@ def test_single_vertex_cases():
 
 
 def test_limits_refuse():
-    # m = 3 > limit: three isolated '-' vertices with lamps already on
-    inst = Instance(3, [], (MINUS,) * 3, BitVec.ones(3))
-    a, b = build_system(inst)
-    gamma, basis = solve(a, b)[1]
-    assert exact_by_nullspace(gamma, basis, limit=2) is None
-    assert exact_by_nullspace(gamma, basis, limit=3) == (0, BitVec.zeros(3))
+    # isolated '-' vertices with lamps already on: m = n, and pressing
+    # nothing is optimal
+    for n in (exact.NULLSPACE_LIMIT, exact.NULLSPACE_LIMIT + 1):
+        inst = Instance(n, [], (MINUS,) * n, BitVec(n, (1 << n) - 1))
+        gamma, basis = solve(*build_system(inst))[1]
+        expected = (0, BitVec.zeros(n)) if n <= exact.NULLSPACE_LIMIT else None
+        assert exact_by_nullspace(gamma, basis) == expected
     with pytest.raises(ValueError):
-        exact_by_press_enumeration(inst, limit=2)
+        exact_by_press_enumeration(Instance(exact.PRESS_LIMIT + 1, []))
 
 
 def test_lexicographic_tie_breaks():
@@ -75,13 +76,13 @@ def test_lexicographic_tie_breaks():
 
 def test_inconsistent_system_is_absent():
     # no solution set to walk: solve reports the rank and no (gamma, basis)
-    a = BitMat.from_lists([[0, 1], [0, 1]])
+    a = bitmat([[0, 1], [0, 1]])
     assert solve(a, BitVec.from01("10")) == (1, None)
 
 
 def test_mismatched_pair_is_rejected():
     with pytest.raises(ValueError):
-        exact_by_nullspace(BitVec.zeros(2), BitMat.identity(3))
+        exact_by_nullspace(BitVec.zeros(2), BitMat(3, 3, [1 << i for i in range(3)]))
 
 
 def test_oracles_agree_with_each_other_and_brute_force():
@@ -211,7 +212,7 @@ def test_dp_keeps_the_lexicographically_smallest_tie():
     # z = (1,0,0), (0,1,0), (1,1,0) and (1,0,1) all reach weight 1.  The
     # DP meets (1,0,0) before (0,1,0) under the same final key and must
     # keep the lexicographically smaller (0,1,0), whose press set is {0}.
-    basis = BitMat.from_lists([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    basis = bitmat([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
     gamma = BitVec.from01("1101")
     assert by_walk(gamma, basis) == (1, BitVec.from01("1000"))
     assert by_dp(gamma, basis) == (1, BitVec.from01("1000"))
@@ -219,6 +220,6 @@ def test_dp_keeps_the_lexicographically_smallest_tie():
 
 def test_corank_zero(branch):
     gamma = BitVec.from01("1011")
-    basis = BitMat.zeros(0, 4)
+    basis = BitMat(0, 4, [])
     assert branch(gamma, basis) == ((3, gamma), "_part_dp")
     assert by_walk(gamma, basis) == (3, gamma)

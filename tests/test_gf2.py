@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from allones.gf2 import BitMat, BitVec, solve
-from helpers import mat_vec
+from helpers import bitmat, mat_vec
 
 
 def _matches_oracle(a, b):
@@ -28,10 +28,10 @@ def _matches_oracle(a, b):
         # both read gamma and the basis off the unique RREF
         gamma, basis = mine
         x0, obasis = theirs
-        assert gamma == BitVec.from_bits(int(v) for v in x0)
+        assert gamma == BitVec.from01("".join(map(str, x0)))
         assert (basis.rows, basis.cols) == (len(obasis), a.cols)
         assert [BitVec(basis.cols, vec) for vec in basis.packed_rows] == [
-            BitVec.from_bits(int(v) for v in col) for col in obasis
+            BitVec.from01("".join(map(str, col))) for col in obasis
         ]
     return r, mine
 
@@ -39,7 +39,7 @@ def _matches_oracle(a, b):
 def _graph_system(n, edges, sigma_plus, on):
     """The oracle's press-effect system of a graph, packed."""
     a, b = oracles.system_from_graph(n, edges, sigma_plus, on)
-    return BitMat.from_lists(a.tolist()), BitVec.from_bits(int(v) for v in b)
+    return bitmat(a.tolist()), BitVec.from01("".join(map(str, b)))
 
 
 @st.composite
@@ -72,7 +72,7 @@ class TestBitVec:
 
     def test_weight(self):
         assert BitVec.zeros(10).weight == 0
-        assert BitVec.ones(10).weight == 10
+        assert BitVec(10, (1 << 10) - 1).weight == 10
         assert BitVec(5, 0b10110).weight == 3
 
     def test_from01_round_trip(self):
@@ -92,17 +92,9 @@ class TestBitVec:
                 BitVec.from01(text)
             assert str(exc.value) == f"character {bad!r} is not '0' or '1'"
 
-    def test_from_bits_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitVec.from_bits([0, 2, 1])
-
     def test_xor_and_indexing(self):
         a = BitVec.from01("1100")
-        b = BitVec.from01("1010")
-        assert (a ^ b).to01() == "0110"
         assert a[0] == 1 and a[2] == 0
-        with pytest.raises(ValueError):
-            a ^ BitVec.zeros(3)
 
 
 class TestBitMat:
@@ -112,11 +104,6 @@ class TestBitMat:
         with pytest.raises(ValueError):
             BitMat(2, 2, [0b11])
 
-    def test_identity_and_transpose(self):
-        m = BitMat.from_lists([[1, 1, 0], [0, 1, 1]])
-        assert m.transpose() == BitMat.from_lists([[1, 0], [1, 1], [0, 1]])
-        assert BitMat.identity(4).transpose() == BitMat.identity(4)
-
 
 def _rank(m):
     """GF(2) rank, as solve reports it for the always-consistent m.u = 0."""
@@ -125,7 +112,7 @@ def _rank(m):
 
 class TestRank:
     def test_identity(self):
-        assert _rank(BitMat.identity(3)) == 3
+        assert _rank(BitMat(3, 3, [1 << i for i in range(3)])) == 3
 
     def test_all_ones(self):
         assert _rank(BitMat(3, 3, [0b111] * 3)) == 1
@@ -137,11 +124,10 @@ class TestRank:
             25, oracles.grid_edges(5, 5), [True] * 25, [0] * 25
         )
         assert oracles.rank_f2(a) == 23
-        m = BitMat.from_lists(a.tolist())
-        assert _rank(m) == 23
+        assert _rank(bitmat(a.tolist())) == 23
 
     def test_does_not_mutate(self):
-        m = BitMat.from_lists([[1, 1], [1, 1]])
+        m = bitmat([[1, 1], [1, 1]])
         before = m.packed_rows
         _rank(m)
         assert m.packed_rows == before
@@ -152,49 +138,50 @@ class TestRank:
             rows = rnd.randint(1, 16)
             cols = rnd.randint(1, 16)
             entries = [[rnd.getrandbits(1) for _ in range(cols)] for _ in range(rows)]
-            assert _rank(BitMat.from_lists(entries)) == oracles.rank_f2(entries)
+            assert _rank(bitmat(entries)) == oracles.rank_f2(entries)
 
 
 class TestMatVec:
     def test_identity(self):
         v = BitVec.from01("1011")
-        assert mat_vec(BitMat.identity(4), v) == v
+        assert mat_vec(BitMat(4, 4, [1 << i for i in range(4)]), v) == v
 
     def test_equal_columns_cancel(self):
-        m = BitMat.from_lists([[1, 1], [1, 1]])
+        m = bitmat([[1, 1], [1, 1]])
         assert mat_vec(m, BitVec.from01("11")) == BitVec.zeros(2)
 
     def test_zero_matrix(self):
-        assert mat_vec(BitMat.zeros(3, 5), BitVec.ones(5)) == BitVec.zeros(3)
+        assert mat_vec(BitMat(3, 5, [0] * 3), BitVec(5, (1 << 5) - 1)) == BitVec.zeros(3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mat_vec(BitMat.identity(3), BitVec.zeros(4))
+            mat_vec(BitMat(3, 3, [1 << i for i in range(3)]), BitVec.zeros(4))
 
 
 class TestSolve:
     def test_rank_one_system(self):
-        a = BitMat.from_lists([[1, 1], [1, 1]])
+        a = bitmat([[1, 1], [1, 1]])
         r, (gamma, basis) = solve(a, BitVec.from01("11"))
         assert r == 1
         assert gamma == BitVec.from01("10")
-        assert basis == BitMat.from_lists([[1, 1]])
+        assert basis == bitmat([[1, 1]])
         assert mat_vec(a, gamma) == BitVec.from01("11")
-        assert mat_vec(a, gamma ^ BitVec(2, basis.packed_rows[0])) == BitVec.from01("11")
+        assert mat_vec(a, BitVec(2, gamma.bits ^ basis.packed_rows[0])) == BitVec.from01("11")
 
     def test_identity_system(self):
-        r, (gamma, basis) = solve(BitMat.identity(3), BitVec.from01("101"))
+        eye = BitMat(3, 3, [1 << i for i in range(3)])
+        r, (gamma, basis) = solve(eye, BitVec.from01("101"))
         assert r == 3
         assert gamma == BitVec.from01("101")
         assert basis.rows == 0
 
     def test_inconsistent(self):
-        a = BitMat.from_lists([[0, 1], [0, 1]])
+        a = bitmat([[0, 1], [0, 1]])
         assert solve(a, BitVec.from01("10")) == (1, None)
 
     def test_dimension_mismatch_is_not_infeasibility(self):
         with pytest.raises(ValueError):
-            solve(BitMat.identity(3), BitVec.zeros(4))
+            solve(BitMat(3, 3, [1 << i for i in range(3)]), BitVec.zeros(4))
 
     def test_soundness_on_random_systems(self):
         # consistent systems must come back with A.gamma = B and a null
@@ -309,9 +296,10 @@ class TestSolve:
             0, (BitVec(0, 0), BitMat(0, 0, [])))
         assert _matches_oracle(BitMat(3, 0, [0] * 3), BitVec(3, 0b100)) == (0, None)
         # an all-zero a with a nonzero b has no solution
-        assert _matches_oracle(BitMat.zeros(4, 5), BitVec(4, 0b0010)) == (0, None)
-        r, (gamma, basis) = _matches_oracle(BitMat.zeros(4, 5), BitVec.zeros(4))
-        assert (r, gamma, basis) == (0, BitVec.zeros(5), BitMat.identity(5))
+        assert _matches_oracle(BitMat(4, 5, [0] * 4), BitVec(4, 0b0010)) == (0, None)
+        r, (gamma, basis) = _matches_oracle(BitMat(4, 5, [0] * 4), BitVec.zeros(4))
+        eye = BitMat(5, 5, [1 << i for i in range(5)])
+        assert (r, gamma, basis) == (0, BitVec.zeros(5), eye)
 
 
 @settings(deadline=None)

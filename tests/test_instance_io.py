@@ -99,6 +99,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="expected 'e"):
             parse_instance(K2_TEXT + "edge 0 1\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (K2_TEXT + "e 0 " + "9" * 5000 + "\n", 5),
+            ("allones " + "9" * 5000 + "\nswitches +\non 0\n", 1),
+            ("allones -" + "9" * 4000 + "\nswitches +\non 0\n", 1),
+            ("allones " + "9" * 4000 + "\nswitches +\non 0\n", 2),
+            (K2_TEXT + "e 0 1 " + "x" * 3000 + "\n", 5),
+        ],
+        ids=["endpoint", "count", "negative-count", "huge-count", "trailing-field"],
+    )
+    def test_long_fields_are_clipped(self, text, line):
+        with pytest.raises(ParseError, match=r"\.\.\.") as exc:
+            parse_instance(text)
+        assert exc.value.line == line
+        assert len(str(exc.value)) < 100
+
     def test_zero_vertices_rejected(self):
         with pytest.raises(ParseError, match=">= 1"):
             parse_instance("allones 0\nswitches \non \n")

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from allones.gf2 import BitMat, BitVec
+from allones.gf2 import BitVec
+from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
     EdgeError,
     Instance,
@@ -13,7 +15,7 @@ from allones.lamps import (
     is_all_on,
     simulate_presses,
 )
-from helpers import mat_vec, random_instance
+from helpers import bitmat, mat_vec, random_instance
 
 PLUS = SwitchType.SIGMA_PLUS
 MINUS = SwitchType.SIGMA
@@ -41,6 +43,19 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             Instance(2, [], initially_on=BitVec.zeros(3))
 
+    def test_integer_like_endpoints_become_ints(self):
+        for edge in [(True, 2), (np.int64(1), np.uint8(2))]:
+            inst = Instance(3, [(0, 2), edge])
+            assert inst.edges == ((0, 2), (1, 2))
+            assert all(type(v) is int for e in inst.edges for v in e)
+            assert parse_instance(render_instance(inst)) == inst
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    def test_rejects_non_integer_endpoint(self, bad):
+        with pytest.raises(EdgeError, match="non-integer") as exc:
+            Instance(3, [(0, 1), (bad, 2)])
+        assert exc.value.index == 1
+
     def test_edges_are_canonicalized(self):
         a = Instance(3, [(2, 1), (1, 0)])
         b = Instance(3, [(0, 1), (1, 2)])
@@ -51,31 +66,36 @@ class TestInstanceValidation:
 class TestBuildSystem:
     def test_k2_all_plus_all_off(self):
         a, b = build_system(Instance(2, [(0, 1)]))
-        assert a == BitMat.from_lists([[1, 1], [1, 1]])
+        assert a == bitmat([[1, 1], [1, 1]])
         assert b == BitVec.from01("11")
 
     def test_single_sigma_vertex_off(self):
         a, b = build_system(Instance(1, [], (MINUS,)))
-        assert a == BitMat.from_lists([[0]])
+        assert a == bitmat([[0]])
         assert b == BitVec.from01("1")
 
     def test_path_three_middle_lamp_on(self):
         inst = Instance(3, [(0, 1), (1, 2)], initially_on=BitVec.from01("010"))
         a, b = build_system(inst)
-        assert a == BitMat.from_lists([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert a == bitmat([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
         assert b == BitVec.from01("101")
 
     def test_matrix_is_symmetric(self):
         rnd = random.Random(11)
         for _ in range(100):
             a, _ = build_system(random_instance(rnd, max_n=20))
-            assert a == a.transpose()
+            rows = a.packed_rows
+            assert all(
+                (rows[i] >> j) & 1 == (rows[j] >> i) & 1
+                for i in range(a.rows)
+                for j in range(i)
+            )
 
 
 class TestSimulate:
     def test_one_press_lights_k2(self):
         inst = Instance(2, [(0, 1)])
-        assert simulate_presses(inst, BitVec.from01("10")) == BitVec.ones(2)
+        assert simulate_presses(inst, BitVec.from01("10")) == BitVec.from01("11")
 
     def test_zero_press_is_identity(self):
         rnd = random.Random(12)
@@ -93,7 +113,7 @@ class TestSimulate:
 
 
 def test_is_all_on():
-    assert is_all_on(BitVec.ones(7))
+    assert is_all_on(BitVec(7, (1 << 7) - 1))
     assert not is_all_on(BitVec.zeros(1))
     assert not is_all_on(BitVec.from01("1101"))
     assert is_all_on(BitVec.zeros(0))  # vacuous
