@@ -11,20 +11,27 @@ is the k-th basis vector, packed over the n unknowns (the vertices).
 ``EchelonDecomposition`` stores it, so no stage transposes.
 
 Two elimination kernels live here, and each pays for its fill rather
-than for a scan of every row or column per pivot.  ``_basis`` inserts
-rows into a basis keyed by lowest set bit; ``solve`` feeds it the
-lightest rows first (ties to the highest row index), which changes only
-the fill, and back-substitutes it to the reduced row echelon form.
-``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
-list of each row's lowest set bit instead of a scan of the n columns;
-only ``column_echelon_grouped`` uses it, because the grouped echelon
-form (unlike the RREF) depends on how basis vectors were combined.  Its
-parts are vertex masks, so no vertex is sorted or permuted.
+than for a scan of every row or column per pivot.  ``solve`` packs each
+row of [a | b] bit-mirrored, leading column in the top bit and b in bit
+0, and feeds the rows lightest first (ties to the highest row index),
+which changes only the fill, to ``_basis``; that keys its slots by
+``int.bit_length``, so every XOR shortens the row it clears.  ``solve``
+then back-substitutes the basis to the reduced row echelon form and
+writes gamma and the null basis in vertex order, so only the rows going
+in are mirrored.  ``_eliminate`` is the Gaussian forward pass with row
+swaps, driven by a list of each row's lowest set bit instead of a scan
+of the n columns; only ``column_echelon_grouped`` uses it, because the
+grouped echelon form (unlike the RREF) depends on how basis vectors
+were combined.  Its parts are vertex masks, so no vertex is sorted or
+permuted.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
+
+# _REV[x] is the byte x with its bit order reversed
+_REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
 
 
 class BitVec:
@@ -182,27 +189,30 @@ class EchelonDecomposition:
         return f"EchelonDecomposition(n={self.n}, m={self.m}, part_sizes={sizes})"
 
 
-def _basis(rows: list[int], ncols: int) -> list[int]:
-    """Forward elimination into a basis keyed by lowest set bit.
+def _basis(rows: list[int], width: int) -> list[int]:
+    """Forward elimination into a basis keyed by bit length.
 
-    Slot k of the result holds the row whose lowest set bit is column k-1
-    (slot 0 stays 0; 0 marks an empty slot).  Rows are popped off the end
-    of ``rows``, which is left empty, so no row outlives its insertion.
-    Each row is XORed with the slot row of its current lowest bit until it
-    lands in an empty slot or cancels to zero, so a row only ever meets
-    the rows that share its leading columns: the cost is the fill, not a
-    scan of every row per pivot.  The filled slots span the row space of
-    the input, and their count is its rank, whatever the order of the
+    Rows are bit-mirrored (``solve`` packs them): the leading column of a
+    row is its highest set bit, so slot k of the result holds the row whose
+    bit length is k (slot 0 stays 0; 0 marks an empty slot), and no row
+    is longer than ``width`` bits.  Rows are popped off the end of
+    ``rows``, which is left empty, so no row outlives its insertion.  Each
+    row is XORed with the slot row of its bit length until it lands in an
+    empty slot or cancels to zero; every XOR clears the row's top bit, so
+    the row gets shorter and the next step costs less, and a row only ever
+    meets the rows that share its leading columns: the cost is the fill,
+    not a scan of every row per pivot.  The filled slots span the row space
+    of the input, and their count is its rank, whatever the order of the
     rows; the order decides the fill, and light rows first keeps it small
     (structured Gaussian elimination; LaMacchia & Odlyzko, CRYPTO 1990).
     """
     # a list indexed by bit_length, not a dict keyed by the power of two:
     # hashing a wide int costs O(words) per lookup
-    basis = [0] * (ncols + 1)
+    basis = [0] * (width + 1)
     while rows:
         row = rows.pop()
         while row:
-            k = (row & -row).bit_length()
+            k = row.bit_length()
             piv = basis[k]
             if not piv:
                 basis[k] = row
@@ -259,56 +269,67 @@ def solve(
     echelon form, which is unique for the column order, so any correct
     elimination gives the same result.  A dimension mismatch raises
     ValueError; that is a contract violation, not infeasibility.
+
+    Inside, each row of [a | b] is bit-mirrored for ``_basis``: with
+    L = cols // 8 + 1 bytes per row, column c sits at bit 8L-1-c and b at
+    bit 0, so a row's leading column is its top bit and its bit length
+    names it.  gamma and the null vectors are written in vertex order.
     """
     if a.rows != b.n:
         raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
     cols = a.cols
-    bmask = 1 << cols
+    nbytes = cols // 8 + 1
+    width = 8 * nbytes
     flags = format(b.bits, f"0{b.n}b")[::-1]
-    rows = [rb | bmask if f == "1" else rb for f, rb in zip(flags, a.packed_rows)]
+    # writing the bytes little-endian and reading them big-endian mirrors
+    # their order, _REV the bits within each byte; b (a bool) is bit 0
+    rows = [
+        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REV), "big") | (f == "1")
+        for f, row in zip(flags, a.packed_rows)
+    ]
     # _basis pops from the end, so it meets the lightest rows first, ties
     # to the highest index (a reverse sort stays stable): light rows carry
     # few bits into their slots, and on a banded system such as a grid the
     # reversed order fills far less than the natural one.  The order
     # changes only the fill, never the RREF read off below
     rows.sort(key=int.bit_count, reverse=True)
-    basis = _basis(rows, cols + 1)
-    pivmask = 0
-    for k in range(1, cols + 1):
-        if basis[k]:
-            pivmask |= 1 << (k - 1)
+    basis = _basis(rows, width)
+    # bit k-1 of pivmask is set when slot k >= 2 holds a row, which makes
+    # column width-k a pivot column
+    pivmask = int("".join(["1" if row else "0" for row in reversed(basis[2:])]) + "0", 2)
     r = pivmask.bit_count()
     # a filled b slot is a row "0 = 1"
-    if basis[cols + 1]:
+    if basis[1]:
         return r, None
-    # back-substitute to the reduced row echelon form, highest pivot first:
-    # a row with a higher pivot is already reduced, so it carries no pivot
-    # bit but its own, and XORing it in clears that bit without setting
-    # another one; only the pivot bits a row holds cost a step.  A reduced
-    # row is final, so its b bit goes to gamma at once, and the null
-    # vector of free column c gains the pivot bit of every reduced row
-    # that holds c; pivot columns keep a 0 placeholder
-    freemask = ((1 << cols) - 1) ^ pivmask
-    vecs = [0 if basis[c + 1] else 1 << c for c in range(cols)]
-    gamma = 0
-    for k in range(cols, 0, -1):
+    # back-substitute to the reduced row echelon form, highest pivot column
+    # (lowest slot) first: a row with a higher pivot is already reduced, so
+    # it carries no pivot bit but its own, and XORing it in clears that bit
+    # without setting another one; only the pivot bits a row holds cost a
+    # step.  A reduced row is final, so the null vector of free column f
+    # gains the pivot column of every reduced row that holds f (pivot
+    # columns keep a 0 placeholder), and its b bit is gamma's bit there
+    freemask = ((1 << width) - 2) ^ pivmask
+    vecs = [0 if basis[width - c] else 1 << c for c in range(cols)]
+    for k in range(2, width + 1):
         row = basis[k]
         if not row:
             continue
-        piv = 1 << (k - 1)
-        x = (row & pivmask) ^ piv
+        x = (row & pivmask) ^ (1 << (k - 1))
         while x:
-            low = x & -x
-            row ^= basis[low.bit_length()]
-            x ^= low
+            j = x.bit_length()
+            row ^= basis[j]
+            x ^= 1 << (j - 1)
         basis[k] = row
-        if row & bmask:
-            gamma |= piv
         f = row & freemask
-        while f:
-            low = f & -f
-            vecs[low.bit_length() - 1] |= piv
-            f ^= low
+        if f:
+            piv = 1 << (width - k)
+            while f:
+                j = f.bit_length()
+                vecs[width - j] |= piv
+                f ^= 1 << (j - 1)
+    # one parse instead of an n-bit OR per pivot; a free column's slot is 0
+    gamma = int("0" + "".join(["1" if basis[width - c] & 1 else "0"
+                               for c in range(cols - 1, -1, -1)]), 2)
     vecs = [v for v in vecs if v]
     return r, (BitVec(cols, gamma), BitMat(len(vecs), cols, vecs))
 

@@ -38,9 +38,9 @@ class Instance:
 
     Edges are canonicalized to a sorted tuple of (min, max) pairs of plain
     ints, so two instances describing the same graph compare equal.
-    Non-integer endpoints, self-loops, duplicate edges and out-of-range
-    endpoints are rejected with an EdgeError naming the first bad edge in
-    input order.
+    Edges that are not pairs, non-integer endpoints, self-loops, duplicate
+    edges and out-of-range endpoints are rejected with an EdgeError naming
+    the first bad edge in input order.
     """
 
     __slots__ = ("n", "edges", "switches", "initially_on")
@@ -56,7 +56,11 @@ class Instance:
             raise ValueError("an instance needs at least one vertex")
         canon = []
         seen = set()
-        for idx, (i, j) in enumerate(edges):
+        for idx, edge in enumerate(edges):
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise EdgeError(idx, f"edge {edge!r} is not a pair of endpoints") from None
             try:
                 # bools and numpy ints become plain ints; floats and strings fail
                 i, j = index(i), index(j)

@@ -16,6 +16,7 @@ from allones.instance_io import (
     SplitMix64,
     gen_complete,
     gen_grid,
+    gen_random_gnp,
     gen_random_mixed,
     gen_random_tree,
     parse_instance,
@@ -28,20 +29,25 @@ def _dec(n, vecs, gamma_bits):
     return EchelonDecomposition(BitMat(len(vecs), n, vecs), BitVec(n, gamma_bits))
 
 
+def _mixed(inst, seed):
+    """inst's graph with seeded random switches, then seeded random lamps."""
+    n = inst.n
+    rng = SplitMix64(seed)
+    sw = rng.bits(n)
+    switches = [
+        SwitchType.SIGMA if (sw >> v) & 1 else SwitchType.SIGMA_PLUS
+        for v in range(n)
+    ]
+    return Instance(n, inst.edges, switches, BitVec(n, rng.bits(n)))
+
+
 def _pinned_corpus():
     """Grids (all-'+' and seeded mixed), random trees, gen_random_mixed."""
     for w in (5, 6):
-        n = w * w
         grid = gen_grid(w, w)
         yield grid
         for seed in range(1, 6):
-            rng = SplitMix64(seed)
-            sw = rng.bits(n)
-            switches = [
-                SwitchType.SIGMA if (sw >> v) & 1 else SwitchType.SIGMA_PLUS
-                for v in range(n)
-            ]
-            yield Instance(grid.n, grid.edges, switches, BitVec(n, rng.bits(n)))
+            yield _mixed(grid, seed)
     for n in (20, 50, 100):
         for seed in range(10):
             yield gen_random_tree(n, seed)
@@ -141,6 +147,33 @@ class TestSolveApprox:
         assert sum(a[1] is not None for a in answers) == 96
         assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
             "d1455abdacf76d577c99a77297cd9dd5189253f8ab9d18d20db6f153aa6844eb"
+        )
+
+    def test_wide_answers_are_pinned(self):
+        # the corpus above stops at n=100, 13-byte rows; these rows run to
+        # 200 bytes, so the elimination's packing is checked on many words.
+        # The digest was taken from the lowest-bit keyed elimination
+        bases = [
+            gen_grid(25, 25),
+            gen_grid(30, 30),
+            gen_random_tree(800, 1),
+            gen_random_tree(1600, 2),
+            gen_random_gnp(500, 5 / 500, 3),
+            gen_random_gnp(300, 0.5, 4),
+        ]
+        answers = []
+        for k, base in enumerate(bases):
+            for inst in (base, _mixed(base, 10 * k + 1), _mixed(base, 10 * k + 2)):
+                r, sol = solve_approx(inst)
+                if sol is None:
+                    answers.append((r, None))
+                else:
+                    c = sol.certificate
+                    answers.append((r, sol.press.indices(), c.m, c.g0, c.g1))
+        assert len(answers) == 18
+        assert sum(a[1] is not None for a in answers) == 11
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
+            "8f5dbb000272380a82d2cc726e5f1ef984b97258341b33d088af66ad97502db1"
         )
 
     def test_suboptimal_case_still_respects_bounds(self):

@@ -290,6 +290,20 @@ class TestSolve:
                 _matches_oracle(a, BitVec(rows, rnd.getrandbits(rows)))
                 _matches_oracle(a, mat_vec(a, BitVec(cols, rnd.getrandbits(cols))))
 
+    @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_byte_boundary_widths_against_oracle(self, rows, cols):
+        # solve packs each row byte by byte, so these widths put the last
+        # column at either end of a byte, and b in a byte of its own or not
+        rnd = random.Random(100 * rows + cols)
+        for density in (0.1, 0.5, 1.0):
+            a = BitMat(rows, cols, [
+                sum(1 << c for c in range(cols) if rnd.random() < density)
+                for _ in range(rows)
+            ])
+            _matches_oracle(a, BitVec(rows, rnd.getrandbits(rows)))
+            _matches_oracle(a, BitVec(rows, (1 << rows) - 1))
+
     def test_edge_cases_against_oracle(self):
         # no unknowns: consistent exactly when b is zero
         assert _matches_oracle(BitMat(3, 0, [0] * 3), BitVec(3, 0)) == (

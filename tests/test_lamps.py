@@ -56,6 +56,12 @@ class TestInstanceValidation:
             Instance(3, [(0, 1), (bad, 2)])
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,), 5])
+    def test_rejects_edge_that_is_not_a_pair(self, bad):
+        with pytest.raises(EdgeError, match="not a pair") as exc:
+            Instance(3, [(0, 1), bad])
+        assert exc.value.index == 1
+
     def test_edges_are_canonicalized(self):
         a = Instance(3, [(2, 1), (1, 0)])
         b = Instance(3, [(0, 1), (1, 2)])
