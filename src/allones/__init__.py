@@ -22,7 +22,6 @@ from .instance_io import (
     render_instance,
 )
 from .lamps import (
-    Certificate,
     Instance,
     Solution,
     SwitchType,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitMat",
     "BitVec",
-    "Certificate",
     "Instance",
     "ParseError",
     "Solution",

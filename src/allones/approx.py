@@ -4,7 +4,8 @@ The pipeline: build the GF(2) system, solve it, column-reduce the null
 basis and group the vertices by their last nonzero column, then fix one
 free coordinate per group by majority vote.  The returned press set u is
 guaranteed feasible with weight(u) <= r (system rank) and
-2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.
+2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.  It comes
+back as a ``lamps.Solution`` that holds u, m, g0 and g1, with r = n - m.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
-from .lamps import Certificate, Instance, Solution, build_system
+from .lamps import Instance, Solution, build_system
 
 
 def decompose(inst: Instance) -> tuple[int, Optional[EchelonDecomposition]]:
@@ -59,22 +60,20 @@ def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     solution agrees with gamma.
     """
     _, press = greedy_assign(dec)
-    n, m = dec.n, dec.m
     part0 = dec.parts[0]
     g1 = (dec.gamma.bits & part0).bit_count()
     g0 = part0.bit_count() - g1
-    cert = Certificate(r=n - m, m=m, g0=g0, g1=g1)
-    return Solution(press=press, certificate=cert, decomposition=dec)
+    return Solution(press=press, m=dec.m, g0=g0, g1=g1, decomposition=dec)
 
 
 def solve_approx(inst: Instance) -> tuple[int, Optional[Solution]]:
     """Feasibility check plus an approximate minimum press set.
 
     Returns (r, sol) with r the rank of the press-effect matrix; sol is
-    None iff the instance has no solution at all.  Otherwise its
-    certificate carries r, m, g0, g1 (opt is left unset; see the exact
-    module for oracles that can fill it in) and sol.decomposition is the
-    decomposition it was read from.
+    None iff the instance has no solution at all.  Otherwise sol carries
+    m, g0 and g1 (so sol.r == r) and, as sol.decomposition, the
+    decomposition it was read from; opt is left unset (see the exact
+    module for oracles that can fill it in).
     """
     r, dec = decompose(inst)
     return r, None if dec is None else solve_from_decomposition(dec)

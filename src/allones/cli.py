@@ -18,6 +18,7 @@ from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
 from .instance_io import (
     ParseError,
+    _clip,
     gen_complete,
     gen_cycle,
     gen_grid,
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    # a message can echo a long argument (argparse's do); callers clip
+    # what they quote, so the reason at the end survives, and this cut
+    # keeps the rest to one short line
+    print(f"error: {_clip(message, 160)}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -63,9 +67,9 @@ def _parse_press(text: str, n: int) -> BitVec:
     try:
         indices = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise ValueError(f"press vector {text!r} is not a comma-separated index list")
+        raise ValueError(f"press vector {_clip(text)!r} is not a comma-separated index list")
     if len(set(indices)) != len(indices):
-        raise ValueError(f"press vector {text!r} repeats an index")
+        raise ValueError(f"press vector {_clip(text)!r} repeats an index")
     return BitVec.from_indices(n, indices)
 
 
@@ -87,27 +91,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"r: {r}")
             print(f"m: {inst.n - r}")
         return EXIT_INFEASIBLE
-    if sol.certificate.m <= args.exact_limit:
+    if sol.m <= args.exact_limit:
         # the echelon form spans the same solution set, so its minimum
         # weight is opt
         dec = sol.decomposition
         sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.basis)[0])
-    cert = sol.certificate
     mixed = sol.bound_mixed
     payload: dict = {
         "feasible": True,
         "press": sol.press.indices(),
         "sol": sol.weight,
-        "r": cert.r,
-        "m": cert.m,
-        "g0": cert.g0,
-        "g1": cert.g1,
-        "boundRank": sol.bound_rank,
+        "r": sol.r,
+        "m": sol.m,
+        "g0": sol.g0,
+        "g1": sol.g1,
+        "boundRank": sol.r,
         "boundMixedNumerator": mixed.numerator,
         "boundMixedDenominator": mixed.denominator,
     }
-    if cert.opt is not None:
-        payload["opt"] = cert.opt
+    if sol.opt is not None:
+        payload["opt"] = sol.opt
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -115,11 +118,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("feasible")
         print(f"press: {press}")
         print(f"sol: {sol.weight}")
-        print(f"r: {cert.r} m: {cert.m} g0: {cert.g0} g1: {cert.g1}")
-        print(f"bound(rank): {sol.bound_rank}")
+        print(f"r: {sol.r} m: {sol.m} g0: {sol.g0} g1: {sol.g1}")
+        print(f"bound(rank): {sol.r}")
         print(f"bound(mixed): {mixed}")
-        if cert.opt is not None:
-            print(f"opt: {cert.opt} (gap {sol.weight - cert.opt})")
+        if sol.opt is not None:
+            print(f"opt: {sol.opt} (gap {sol.weight - sol.opt})")
     return EXIT_OK
 
 
@@ -149,7 +152,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     }
     if args.family not in families:
         return _fail(
-            f"unknown family {args.family!r} (choose from {', '.join(families)})"
+            f"unknown family {_clip(args.family)!r} (choose from {', '.join(families)})"
         )
     arity, build = families[args.family]
     if len(args.params) != arity:
@@ -172,9 +175,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
-        return _fail(f"--sizes {args.sizes!r} is not a comma-separated integer list")
+        return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:
-        return _fail(f"--sizes {args.sizes!r} lists a size below 1")
+        return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
     if args.trials < 1:
         return _fail(f"--trials {args.trials} is below 1")
     if args.oracle_limit > PRESS_LIMIT:

@@ -109,7 +109,8 @@ def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> Optional[tuple[int,
     and EchelonDecomposition.basis stores it; pass either with its gamma to
     get the minimum-weight solution of a.u = b.  Returns (opt, argmin)
     where ties are broken by the lexicographically smallest combination
-    vector; returns None when m exceeds NULLSPACE_LIMIT.
+    vector; returns None when m exceeds NULLSPACE_LIMIT, and raises
+    ValueError when gamma's length is not the basis width.
 
     Grouping the vertices by the last basis vector that touches them
     (``EchelonDecomposition.parts``) makes a chain, which ``_part_dp``
@@ -119,13 +120,12 @@ def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> Optional[tuple[int,
     is at least 2**m: wide bases (all-'+' grids) and tiny m.  Narrow ones
     (random trees) take the DP.  Both give the same answer.
     """
-    if gamma.n != null_basis.cols:
-        raise ValueError(f"gamma length {gamma.n} does not match {null_basis.cols} columns")
+    # EchelonDecomposition rejects a gamma of another width
+    parts = EchelonDecomposition(null_basis, gamma).parts
     m = null_basis.rows
     if m > NULLSPACE_LIMIT:
         return None
     vecs = null_basis.packed_rows
-    parts = EchelonDecomposition(null_basis, gamma).parts
     live = _live_masks(vecs, parts)
     if DP_STEP_COST * _dp_transitions(live) >= 1 << m:
         opt, argmin = _gray_walk(gamma.bits, vecs)

@@ -90,9 +90,6 @@ class BitVec:
     def to01(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(f"bit index {i} out of range for length {self.n}")
@@ -355,8 +352,6 @@ def column_echelon_grouped(
     the same weight, so the swapping pass is what keeps press sets stable.
     """
     m, n = null_basis.rows, null_basis.cols
-    if gamma.n != n:
-        raise ValueError(f"gamma length {gamma.n} does not match {n} columns")
     vecs = list(null_basis.packed_rows)
     if len(_eliminate(vecs, n)) != m:
         raise ValueError("null basis rows are not independent")

@@ -80,9 +80,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _clip(text: str) -> str:
-    """Input text to echo in a message, cut to 40 characters and '...'."""
-    return text if len(text) <= 40 else text[:40] + "..."
+def _clip(text: str, width: int = 40) -> str:
+    """Input text to echo in a message, cut to width characters and '...'."""
+    return text if len(text) <= width else text[:width] + "..."
 
 
 _SWITCH_OF = {s.value: s for s in SwitchType}

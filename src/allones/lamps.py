@@ -1,9 +1,10 @@
-"""Lamp/switch instances and their translation to GF(2) systems.
+"""Lamp/switch instances, their GF(2) systems, and the solver's answer.
 
 An instance is a simple graph with a lamp and a button on every vertex.
 Pressing a SIGMA_PLUS button toggles the vertex's own lamp and all of its
 neighbors' lamps; a SIGMA button toggles the neighbors' lamps only.  The
-goal is a press set that leaves every lamp on.
+goal is a press set that leaves every lamp on.  ``Solution`` holds such
+a press set together with the data behind its bounds.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ class EdgeError(ValueError):
 class Instance:
     """A lamp-lighting instance: graph, switch types, initial lamp states.
 
-    Edges are canonicalized to a sorted tuple of (min, max) pairs of plain
-    ints, so two instances describing the same graph compare equal.
-    Edges that are not pairs, non-integer endpoints, self-loops, duplicate
-    edges and out-of-range endpoints are rejected with an EdgeError naming
-    the first bad edge in input order.
+    The vertex count and the endpoints become plain ints by
+    ``operator.index``, so bools and numpy ints convert; a vertex count of
+    another type raises ValueError.  Edges are canonicalized to a sorted
+    tuple of (min, max) pairs, so two instances describing the same graph
+    compare equal.  Edges that are not pairs, non-integer endpoints,
+    self-loops, duplicate edges and out-of-range endpoints are rejected
+    with an EdgeError naming the first bad edge in input order.
     """
 
     __slots__ = ("n", "edges", "switches", "initially_on")
@@ -52,6 +55,10 @@ class Instance:
         switches: Optional[Sequence[SwitchType]] = None,
         initially_on: Optional[BitVec] = None,
     ) -> None:
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 1:
             raise ValueError("an instance needs at least one vertex")
         canon = []
@@ -166,40 +173,30 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Bound data attached to a press set.
-
-    r/m are the rank and corank of the press-effect matrix; g0/g1 count the
-    forced non-presses/presses (zeros/ones of the particular solution over
-    the all-zero echelon part).  opt, when present, is the exact minimum.
-    """
-
-    r: int
-    m: int
-    g0: int
-    g1: int
-    opt: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Solution:
-    """A feasible press set with its certificate.
+    """A feasible press set with the data behind its two bounds.
 
+    m is the corank of the press-effect matrix, so r = n - m is its rank;
+    g0/g1 count the forced non-presses/presses (zeros/ones of the
+    particular solution over the all-zero echelon part).  opt, when
+    present, is the exact minimum, and g1 <= opt <= weight must hold.
     decomposition, when set, is the echelon decomposition (basis, parts
     and gamma, all over the vertices) the press set was read from; it takes
     no part in equality.
     """
 
     press: BitVec
-    certificate: Certificate
+    m: int
+    g0: int
+    g1: int
+    opt: Optional[int] = None
     decomposition: Optional[EchelonDecomposition] = field(
         default=None, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        c = self.certificate
-        if c.opt is not None and not c.g1 <= c.opt <= self.weight:
-            raise ValueError(f"opt {c.opt} outside [g1={c.g1}, weight={self.weight}]")
+        if self.opt is not None and not self.g1 <= self.opt <= self.weight:
+            raise ValueError(f"opt {self.opt} outside [g1={self.g1}, weight={self.weight}]")
 
     @property
     def n(self) -> int:
@@ -210,19 +207,18 @@ class Solution:
         return self.press.weight
 
     @property
-    def bound_rank(self) -> int:
-        """Guaranteed upper bound: weight <= rank of the system."""
-        return self.certificate.r
+    def r(self) -> int:
+        """Rank of the system, a guaranteed upper bound on the weight."""
+        return self.n - self.m
 
     @property
     def bound_mixed(self) -> Fraction:
         """Guaranteed upper bound (n + g1 - g0)/2, kept exact."""
-        c = self.certificate
-        return Fraction(self.n + c.g1 - c.g0, 2)
+        return Fraction(self.n + self.g1 - self.g0, 2)
 
     def with_opt(self, opt: int) -> "Solution":
         """Attach an exact optimum (validates g1 <= opt <= weight)."""
-        return replace(self, certificate=replace(self.certificate, opt=opt))
+        return replace(self, opt=opt)
 
 
 def build_system(inst: Instance) -> tuple[BitMat, BitVec]:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the package:
 numpy uint8 Gauss-Jordan for the algebra, list-based toggle simulation and
-exhaustive subset search for the combinatorics.
+exhaustive subset search for the combinatorics, and a tree dynamic program
+with no linear algebra at all for forests of any size.
 """
 
 from __future__ import annotations
@@ -189,3 +190,67 @@ def brute_force_min_press(
             if best is None or w < best[0]:
                 best = (w, list(press))
     return best
+
+
+def forest_min_press(
+    n: int,
+    edges: Sequence[Tuple[int, int]],
+    sigma_plus: Sequence[bool],
+    on: Sequence[int],
+) -> Optional[int]:
+    """Minimum press count that lights every lamp of a forest, or None.
+
+    The linear-time tree DP of Chen, Li, Wang & Zhang ("The minimum
+    all-ones problem for trees", SIAM J. Comput. 33(2), 2004).  Each tree
+    is rooted at its lowest vertex; cost[v][x][y] is the fewest presses in
+    v's subtree when v's press is x and its parent's is y.  Lamp v ends on
+    iff the presses of its children have parity
+    1 ^ on[v] ^ (sigma_plus[v] & x) ^ y, so a two-entry knapsack over the
+    children, keyed by that parity, gives both costs for each x.  Raises
+    ValueError when the graph has a cycle.
+    """
+    neigh: List[List[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        neigh[i].append(j)
+        neigh[j].append(i)
+    inf = float("inf")
+    parent = [-1] * n
+    seen = [False] * n
+    total = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        # iterative DFS: every vertex comes after its parent in order
+        seen[root] = True
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in neigh[v]:
+                if u == parent[v]:
+                    continue
+                if seen[u]:
+                    raise ValueError("the graph has a cycle")
+                seen[u] = True
+                parent[u] = v
+                stack.append(u)
+        cost = {}
+        for v in reversed(order):
+            row = []
+            for x in (0, 1):
+                # best[p]: fewest presses in the children's subtrees with
+                # their own presses of parity p
+                best = [0, inf]
+                for c in neigh[v]:
+                    if c != parent[v]:
+                        c0, c1 = cost[c][0][x], cost[c][1][x]
+                        best = [min(best[0] + c0, best[1] + c1),
+                                min(best[1] + c0, best[0] + c1)]
+                need = 1 ^ on[v] ^ (sigma_plus[v] & x)
+                row.append([x + best[need ^ y] for y in (0, 1)])
+            cost[v] = row
+        opt = min(cost[root][0][0], cost[root][1][0])
+        if opt == inf:
+            return None
+        total += opt
+    return total

@@ -79,7 +79,7 @@ def test_criterion_1_oracle_sandwich(corpus):
             continue
         feasible += 1
         inst, a, b = rec["inst"], rec["a"], rec["b"]
-        cert = sol.certificate
+        cert = sol
         n, w = inst.n, sol.weight
         if mat_vec(a, sol.press) != b:
             violations.append(f"#{idx}: press does not solve the system")

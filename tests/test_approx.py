@@ -112,8 +112,8 @@ class TestSolveApprox:
     def test_triangle_certificate(self):
         _, sol = solve_approx(gen_complete(3))
         assert sol.weight == 1
-        assert sol.certificate.r == 1
-        assert sol.certificate.m == 2
+        assert sol.r == 1
+        assert sol.m == 2
 
     def test_infeasible_single_sigma(self):
         assert solve_approx(Instance(1, [], (SwitchType.SIGMA,))) == (0, None)
@@ -141,7 +141,7 @@ class TestSolveApprox:
             if sol is None:
                 answers.append((r, None))
             else:
-                c = sol.certificate
+                c = sol
                 answers.append((r, sol.press.indices(), c.m, c.g0, c.g1))
         assert len(answers) == 162
         assert sum(a[1] is not None for a in answers) == 96
@@ -168,7 +168,7 @@ class TestSolveApprox:
                 if sol is None:
                     answers.append((r, None))
                 else:
-                    c = sol.certificate
+                    c = sol
                     answers.append((r, sol.press.indices(), c.m, c.g0, c.g1))
         assert len(answers) == 18
         assert sum(a[1] is not None for a in answers) == 11
@@ -187,7 +187,7 @@ class TestSolveApprox:
         _, sol = solve_approx(inst)
         opt = exact_by_press_enumeration(inst)[0]
         assert (sol.weight, opt) == (3, 2)
-        cert = sol.certificate
+        cert = sol
         assert cert.g1 <= opt <= sol.weight <= cert.r
         assert 2 * sol.weight <= inst.n + opt
         assert is_all_on(simulate_presses(inst, sol.press))
@@ -202,7 +202,7 @@ class TestSolveApprox:
                 continue
             feasible += 1
             sol = solve_from_decomposition(dec)
-            cert = sol.certificate
+            cert = sol
             a, b = build_system(inst)
             assert mat_vec(a, sol.press) == b
             assert is_all_on(simulate_presses(inst, sol.press))
@@ -217,7 +217,7 @@ class TestSolveApprox:
 class TestComputeBounds:
     @staticmethod
     def _g0_g1(dec):
-        cert = solve_from_decomposition(dec).certificate
+        cert = solve_from_decomposition(dec)
         return cert.g0, cert.g1
 
     def test_empty_part_zero(self):
@@ -233,6 +233,6 @@ class TestComputeBounds:
         # 5x5 grid: the null space vanishes on five vertices whose forced
         # press is 1, so g0=0, g1=5 (values derived with the dense oracle)
         _, sol = solve_approx(gen_grid(5, 5))
-        assert sol.bound_rank == 23
-        assert (sol.certificate.g0, sol.certificate.g1) == (0, 5)
+        assert sol.r == 23
+        assert (sol.g0, sol.g1) == (0, 5)
         assert sol.bound_mixed == Fraction(30, 2)

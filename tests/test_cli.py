@@ -332,6 +332,32 @@ class TestUsage:
         argv = [k2_file if a == "FILE" else a for a in argv]
         assert_clean_usage_error(run_cli(*argv))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "FILE", ",".join(["1"] * 2999 + ["x"])],
+            ["bench", "--sizes", ",".join(["8"] * 2999 + ["x"])],
+            ["gen", "f" * 3000, "5"],
+            ["solve", "FILE", "--exact-limit", "9" * 5000],
+            ["solve", "FILE", "--exact-limit", "9" * 4000],
+            ["verify", "FILE", "9" * 4000],
+        ],
+        ids=["press", "sizes", "family", "argparse-int", "exact-limit", "press-index"],
+    )
+    def test_long_input_gives_short_error(self, k2_file, argv):
+        argv = [k2_file if a == "FILE" else a for a in argv]
+        res = run_cli(*argv)
+        assert_clean_usage_error(res)
+        assert len(res.stderr) < 200
+
+    def test_short_values_are_echoed_whole(self, k2_file):
+        assert run_cli("bench", "--sizes", "8,x").stderr == (
+            "error: --sizes '8,x' is not a comma-separated integer list\n"
+        )
+        assert run_cli("verify", k2_file, "0,x").stderr == (
+            "error: press vector '0,x' is not a comma-separated index list\n"
+        )
+
     def test_help_exits_zero(self):
         res = run_cli("solve", "-h")
         assert res.returncode == 0

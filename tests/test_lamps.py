@@ -50,6 +50,17 @@ class TestInstanceValidation:
             assert all(type(v) is int for e in inst.edges for v in e)
             assert parse_instance(render_instance(inst)) == inst
 
+    @pytest.mark.parametrize("count, n", [(True, 1), (np.int64(3), 3)])
+    def test_integer_like_vertex_count_becomes_int(self, count, n):
+        inst = Instance(count, [])
+        assert type(inst.n) is int and inst.n == n
+        assert parse_instance(render_instance(inst)) == inst
+
+    @pytest.mark.parametrize("bad", [2.5, "3"])
+    def test_rejects_non_integer_vertex_count(self, bad):
+        with pytest.raises(ValueError, match="vertex count"):
+            Instance(bad, [])
+
     @pytest.mark.parametrize("bad", [0.5, "1", None])
     def test_rejects_non_integer_endpoint(self, bad):
         with pytest.raises(EdgeError, match="non-integer") as exc:
