@@ -37,6 +37,10 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_EXACT_LIMIT = 16
 
+# most vertices plus edges `gen` builds (the expected edge count for gnp);
+# at the limit, generating and rendering allocate about 190 MiB
+GEN_LIMIT = 1_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse prints the usage and exits with status 2 on usage errors; 2
@@ -142,23 +146,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    # per family: parameter types, vertices plus edges, generator
     families = {
-        "path": (1, lambda p: gen_path(int(p[0]))),
-        "cycle": (1, lambda p: gen_cycle(int(p[0]))),
-        "complete": (1, lambda p: gen_complete(int(p[0]))),
-        "grid": (2, lambda p: gen_grid(int(p[0]), int(p[1]))),
-        "gnp": (2, lambda p: gen_random_gnp(int(p[0]), float(p[1]), args.seed)),
-        "tree": (1, lambda p: gen_random_tree(int(p[0]), args.seed)),
+        "path": ((int,), lambda n: 2 * n - 1, gen_path),
+        "cycle": ((int,), lambda n: 2 * n if n > 2 else 2 * n - 1, gen_cycle),
+        "complete": ((int,), lambda n: n + n * (n - 1) // 2, gen_complete),
+        "grid": ((int, int), lambda w, h: 3 * w * h - w - h, gen_grid),
+        "gnp": (
+            (int, float),
+            # past the limit n alone decides; n * n may not fit a float
+            lambda n, p: n if n > GEN_LIMIT else n + n * (n - 1) * p / 2,
+            lambda n, p: gen_random_gnp(n, p, args.seed),
+        ),
+        "tree": ((int,), lambda n: 2 * n - 1, lambda n: gen_random_tree(n, args.seed)),
     }
     if args.family not in families:
         return _fail(
             f"unknown family {_clip(args.family)!r} (choose from {', '.join(families)})"
         )
-    arity, build = families[args.family]
-    if len(args.params) != arity:
-        return _fail(f"family {args.family!r} takes {arity} parameter(s)")
+    types, size, build = families[args.family]
+    if len(args.params) != len(types):
+        return _fail(f"family {args.family!r} takes {len(types)} parameter(s)")
     try:
-        inst = build(args.params)
+        params = [t(p) for t, p in zip(types, args.params)]
+        if size(*params) > GEN_LIMIT:
+            return _fail(
+                f"{args.family} {_clip(' '.join(args.params))} has more than"
+                f" {GEN_LIMIT} vertices plus edges"
+            )
+        inst = build(*params)
         if args.switches is not None or args.on is not None:
             switches = (
                 parse_switch_string(args.switches) if args.switches is not None else None

@@ -15,12 +15,15 @@ any order and either endpoint first: the three header lines with single
 spaces, then only lines that are exactly 'e <i> <j>', endpoints in ASCII
 digits without leading zeros, and every line ending in '\n'.  Regular
 expressions admit such text slab by slab; each slab is split into tokens,
-and the edges are checked in whole-list passes, with no Python loop per
-line.  Any other text, and any text the bulk path finds a fault in, goes
-to the line-by-line parser.  So every other valid layout (comments, blank
-lines, CRLF, tabs, extra spaces, a missing final newline) parses to the
-same Instance, and only the line parser raises ParseError, naming the
-first bad line in file order.
+a lookup turns them into vertex numbers, and the edges are checked in
+whole-list passes.  The bulk path makes no edge tuples and sorts nothing:
+it builds each vertex's toggle mask, the row of the press-effect
+matrix, directly, and the Instance derives its sorted edges from the
+masks only when they are read.  Any other text, and any text the bulk
+path finds a fault in, goes to the line-by-line parser.  So every other
+valid layout (comments, blank lines, CRLF, tabs, extra spaces, a missing
+final newline) parses to the same Instance, and only the line parser
+raises ParseError, naming the first bad line in file order.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ _SWITCH_OF = {s.value: s for s in SwitchType}
 
 # The layout render_instance writes, with edges in any order: the header
 # (n, the switch string and the state string are groups 1-3), then lines
-# that are each exactly 'e <i> <j>'
+# that are each exactly 'e <i> <j>'; _edge_endpoints turns away endpoints
+# with leading zeros
 _HEADER = re.compile(r"allones ([1-9][0-9]*)\nswitches ([+-]+)\non ([01]+)\n")
-_EDGE_LINES = re.compile(r"(?:e (?!0[0-9])[0-9]+ (?!0[0-9])[0-9]+\n)*")
+_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
 
 # characters of edge lines matched and split at a time; a match keeps
 # state for every line it has read, and a split a token for every number,
@@ -108,21 +112,29 @@ def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
     return tuple(map(_SWITCH_OF.__getitem__, text))
 
 
-def _edge_endpoints(text: str, start: int) -> Optional[tuple[list[int], list[int]]]:
+def _edge_endpoints(
+    text: str, start: int, n: int
+) -> Optional[tuple[list[int], list[int]]]:
     """Both endpoint columns of the edge lines from start on, or None if
-    some line there is not exactly 'e <i> <j>'."""
+    some line there is not exactly 'e <i> <j>' or names a vertex >= n."""
     left: list[int] = []
     right: list[int] = []
+    # a lookup converts a vertex number in about half the time int() takes,
+    # and it has no key for a leading zero or a number >= n
+    vertex = {str(v): v for v in range(n)}.__getitem__
     end = len(text)
-    while start < end:
-        # a slab ends at a newline, or at the end of the text
-        stop = text.find("\n", start + _SLAB) + 1 or end
-        if _EDGE_LINES.fullmatch(text, start, stop) is None:
-            return None
-        tokens = text[start:stop].split()
-        left += map(int, islice(tokens, 1, None, 3))
-        right += map(int, islice(tokens, 2, None, 3))
-        start = stop
+    try:
+        while start < end:
+            # a slab ends at a newline, or at the end of the text
+            stop = text.find("\n", start + _SLAB) + 1 or end
+            if _EDGE_LINES.fullmatch(text, start, stop) is None:
+                return None
+            tokens = text[start:stop].split()
+            left += map(vertex, islice(tokens, 1, None, 3))
+            right += map(vertex, islice(tokens, 2, None, 3))
+            start = stop
+    except KeyError:
+        return None
     return left, right
 
 
@@ -133,11 +145,11 @@ def _parse_canonical(text: str) -> Optional[Instance]:
         return None
     try:
         n = int(header[1])
-        if len(header[2]) != n or len(header[3]) != n:
-            return None
-        endpoints = _edge_endpoints(text, header.end())
     except ValueError:  # a number longer than int() converts
         return None
+    if len(header[2]) != n or len(header[3]) != n:
+        return None
+    endpoints = _edge_endpoints(text, header.end(), n)
     if endpoints is None:
         return None
     switches = parse_switch_string(header[2])

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
-from operator import eq, index, lt
+from operator import eq, index
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition
@@ -44,9 +43,13 @@ class Instance:
     compare equal.  Edges that are not pairs, non-integer endpoints,
     self-loops, duplicate edges and out-of-range endpoints are rejected
     with an EdgeError naming the first bad edge in input order.
+
+    The constructor keeps the edge tuple, O(edges) space.  The bulk parse
+    path keeps the toggle masks instead, the rows of the press-effect
+    matrix, and derives ``edges`` from them on first use.
     """
 
-    __slots__ = ("n", "edges", "switches", "initially_on")
+    __slots__ = ("n", "switches", "initially_on", "_edges", "_masks")
 
     def __init__(
         self,
@@ -98,7 +101,8 @@ class Instance:
         self.n = n
         # sorting the list, not the set, keeps an already sorted input cheap
         canon.sort()
-        self.edges = tuple(canon)
+        self._edges = tuple(canon)
+        self._masks = None
         self.switches = switches
         self.initially_on = initially_on
 
@@ -115,42 +119,50 @@ class Instance:
         __init__ would raise; it never raises.
 
         The same per-edge rules as __init__, checked in whole-list passes
-        for bulk input.  Endpoints must be non-negative ints, and switches
-        and initially_on must already hold n entries.
+        for bulk input; the graph is kept as toggle masks, built straight
+        from the endpoints.  Endpoints must be non-negative ints, and
+        switches and initially_on must already hold n entries.
         """
-        if not all(map(lt, left, right)):
-            if any(map(eq, left, right)):
-                return None
-            left, right = list(map(min, left, right)), list(map(max, left, right))
-        if right and max(right) >= n:
+        if any(map(eq, left, right)):
             return None
-        # one tuple per edge, made once the endpoints are known to be good
-        edges = list(zip(left, right))
-        if not all(map(lt, edges, islice(edges, 1, None))):
-            edges.sort()
-            # after the sort, a repeated edge sits next to its twin
-            if any(map(eq, edges, islice(edges, 1, None))):
-                return None
+        if left and max(max(left), max(right)) >= n:
+            return None
+        masks = _toggle_rows(n, switches, zip(left, right))
+        # a repeated edge, in either orientation, sets no new bit
+        plus = switches.count(SwitchType.SIGMA_PLUS)
+        if sum(map(int.bit_count, masks)) != 2 * len(left) + plus:
+            return None
         self = cls.__new__(cls)
         self.n = n
-        self.edges = tuple(edges)
+        self._edges = None
+        self._masks = tuple(masks)
         self.switches = switches
         self.initially_on = initially_on
         return self
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as a sorted tuple of (min, max) pairs."""
+        if self._edges is None:
+            edges = []
+            for i, row in enumerate(self._masks):
+                # row i's bits above i, lowest first: (i, j) in sorted order
+                row >>= i + 1
+                while row:
+                    low = row & -row
+                    edges.append((i, i + low.bit_length()))
+                    row ^= low
+            self._edges = tuple(edges)
+        return self._edges
 
     def toggle_masks(self) -> tuple[int, ...]:
         """Packed per-vertex toggle sets: neighbors, plus self for SIGMA_PLUS.
 
         mask[v] is also row v of the press-effect matrix.
         """
-        bit = [1 << v for v in range(self.n)]
-        masks = [
-            b if s is SwitchType.SIGMA_PLUS else 0 for b, s in zip(bit, self.switches)
-        ]
-        for i, j in self.edges:
-            masks[i] |= bit[j]
-            masks[j] |= bit[i]
-        return tuple(masks)
+        if self._masks is not None:
+            return self._masks
+        return tuple(_toggle_rows(self.n, self.switches, self.edges))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -170,6 +182,20 @@ class Instance:
             f"Instance(n={self.n}, edges={len(self.edges)}, "
             f"switches={kinds!r}, on={self.initially_on.to01()!r})"
         )
+
+
+def _toggle_rows(
+    n: int, switches: Sequence[SwitchType], edges: Iterable[Tuple[int, int]]
+) -> list[int]:
+    """Toggle masks of a graph whose edges are given once each, in any
+    orientation; a repeated edge leaves its bits as they were."""
+    plus = SwitchType.SIGMA_PLUS
+    bit = [1 << v for v in range(n)]
+    masks = [b if s is plus else 0 for b, s in zip(bit, switches)]
+    for i, j in edges:
+        masks[i] |= bit[j]
+        masks[j] |= bit[i]
+    return masks
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,50 @@ class TestGen:
     def test_bad_arity(self):
         assert run_cli("gen", "grid", "3").returncode == 1
 
+    def test_path_of_100000_is_within_the_limit(self):
+        res = run_cli("gen", "path", "100000")
+        assert res.returncode == 0
+        assert res.stdout.count("\ne ") == 99999
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["path", "100000000"],
+            ["path", "500001"],
+            ["cycle", "500001"],
+            ["tree", "500001"],
+            ["complete", "1414"],
+            ["grid", "578", "578"],
+            ["gnp", "2000", "0.5"],
+            ["gnp", "1" + "0" * 400, "0.5"],
+        ],
+    )
+    def test_oversized_instance_is_refused_unbuilt(self, monkeypatch, capsys, params):
+        def refuse(*args):
+            raise AssertionError("a generator was reached")
+
+        for name in ("gen_path", "gen_cycle", "gen_complete", "gen_grid",
+                     "gen_random_gnp", "gen_random_tree"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert cli.main(["gen", *params]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus edges\n")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [["path", "500000"], ["cycle", "500000"], ["tree", "500000"],
+         ["complete", "1413"], ["grid", "577", "577"], ["gnp", "2000", "0.499"]],
+    )
+    def test_instance_at_the_limit_is_built(self, monkeypatch, params):
+        built = []
+        for name in ("gen_path", "gen_cycle", "gen_complete", "gen_grid",
+                     "gen_random_gnp", "gen_random_tree"):
+            monkeypatch.setattr(cli, name, lambda *args: built.append(args) or gen_complete(2))
+        assert cli.main(["gen", *params]) == 0
+        assert len(built) == 1
+
 
 class TestBench:
     def test_small_corpus_is_clean(self):

@@ -23,7 +23,7 @@ from allones.instance_io import (
     parse_switch_string,
     render_instance,
 )
-from allones.lamps import Instance, SwitchType
+from allones.lamps import Instance, SwitchType, simulate_presses
 from helpers import random_instance
 
 K2_TEXT = "allones 2\nswitches ++\non 00\ne 0 1\n"
@@ -165,6 +165,100 @@ class TestBulkPath:
             assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         else:
             assert parse_instance(text) == expected == _parse_canonical(K3_TEXT)
+
+    @pytest.mark.parametrize(
+        "edges, line",
+        [
+            (["e 1 2", "e 0 3", "e 2 1"], 6),
+            (["e 2 1", "e 1 2"], 5),
+            (["e 0 3", "e 1 2", "e 3 0", "e 2 1"], 6),
+        ],
+    )
+    def test_duplicate_in_either_orientation_falls_back(self, edges, line):
+        text = "allones 4\nswitches ++-+\non 0010\n" + "".join(e + "\n" for e in edges)
+        assert _parse_canonical(text) is None
+        with pytest.raises(ParseError, match="duplicate edge") as exc:
+            parse_instance(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_duplicate_past_the_first_slab_falls_back(self, swap):
+        tree = render_instance(gen_random_tree(12000, seed=3))
+        first = tree.splitlines()[3]
+        _, i, j = first.split()
+        twin = f"e {j} {i}\n" if swap else first + "\n"
+        # the edge lines start with the first edge and outgrow one slab
+        assert len(tree) - tree.index("\ne ") > instance_io._SLAB
+        text = tree + twin
+        assert _parse_canonical(text) is None
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.line == 3 + 12000
+        assert str(exc.value) == f"line 12003: duplicate edge ({i}, {j})"
+
+
+def _families():
+    """One instance per generator family, all '+' with lamps off, then each
+    again with seeded mixed switches and lamps."""
+    insts = {
+        "path": gen_path(7),
+        "cycle": gen_cycle(9),
+        "complete": gen_complete(8),
+        "grid": gen_grid(5, 4),
+        "gnp": gen_random_gnp(40, 0.3, seed=11),
+        "tree": gen_random_tree(60, seed=12),
+    }
+    rng = SplitMix64(14)
+    for name, inst in list(insts.items()):
+        switches = tuple(
+            SwitchType.SIGMA if rng.below(2) else SwitchType.SIGMA_PLUS
+            for _ in range(inst.n)
+        )
+        on = BitVec(inst.n, rng.bits(inst.n))
+        insts[name + "-mixed"] = Instance(inst.n, inst.edges, switches, on)
+    insts["random-mixed"] = gen_random_mixed(35, 0.4, seed=13)
+    return insts
+
+
+FAMILIES = _families()
+
+
+class TestTwoForms:
+    """An Instance built from edges and one parsed from text (toggle masks,
+    edges derived from them) are the same value."""
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_parsed_instance_agrees_with_built(self, family, order):
+        inst = FAMILIES[family]
+        lines = render_instance(inst).splitlines(keepends=True)
+        head, edge_lines = lines[:3], lines[3:]
+        if order == "reversed":
+            edge_lines = [f"e {j} {i}\n" for i, j in reversed(inst.edges)]
+        elif order == "shuffled":
+            random.Random(15).shuffle(edge_lines)
+        parsed = parse_instance("".join(head + edge_lines))
+        masks = parsed.toggle_masks()
+        assert masks == inst.toggle_masks()
+        assert parsed.edges == inst.edges
+        # deriving the edges leaves the masks alone
+        assert parsed.toggle_masks() == masks
+        assert parsed == inst and inst == parsed
+        assert hash(parsed) == hash(inst)
+        assert repr(parsed) == repr(inst)
+        rng = SplitMix64(16)
+        for _ in range(8):
+            press = BitVec(inst.n, rng.bits(inst.n))
+            assert simulate_presses(parsed, press) == simulate_presses(inst, press)
+
+    def test_bulk_path_keeps_masks_and_derives_edges(self):
+        inst = gen_random_mixed(30, 0.5, seed=17)
+        parsed = _parse_canonical(render_instance(inst))
+        assert parsed._edges is None and parsed._masks is not None
+        assert hash(parsed) == hash(inst)
+        assert parsed._edges == inst.edges
+        # the constructor keeps the edges only
+        assert inst._masks is None
 
 
 class TestGenerators:

@@ -174,15 +174,17 @@ def test_bulk_path_agrees_with_line_parser(inst, data):
         k = data.draw(st.integers(0, len(lines) - 1))
         lines[k] = lines[k].replace(" ", data.draw(st.sampled_from(["\t", "  ", " \t"])), 1)
         canonical = False
+    plain = "".join(line + "\n" for line in lines)
     for _ in range(data.draw(st.integers(0, 2))):
         extra = data.draw(st.sampled_from(["", "# note", "  ", "#"]))
         lines.insert(data.draw(st.integers(0, len(lines))), extra)
-        canonical = False
     newline = data.draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines)
     if data.draw(st.booleans()):
         text += newline
-    canonical = canonical and newline == "\n" and text.endswith("\n")
+    # a blank line put last, with no final newline after it, leaves the
+    # text in the canonical layout
+    canonical = canonical and text == plain
 
     bulk = _parse_canonical(text)
     try:
