@@ -37,7 +37,7 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_EXACT_LIMIT = 16
 
-# most vertices plus edges `gen` builds (the expected edge count for gnp);
+# most vertices plus edges `gen` builds (for gnp, vertex pairs drawn);
 # at the limit, generating and rendering allocate about 190 MiB
 GEN_LIMIT = 1_000_000
 
@@ -154,8 +154,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "grid": ((int, int), lambda w, h: 3 * w * h - w - h, gen_grid),
         "gnp": (
             (int, float),
-            # past the limit n alone decides; n * n may not fit a float
-            lambda n, p: n if n > GEN_LIMIT else n + n * (n - 1) * p / 2,
+            # one draw per vertex pair, whatever p is
+            lambda n, p: n + n * (n - 1) // 2,
             lambda n, p: gen_random_gnp(n, p, args.seed),
         ),
         "tree": ((int,), lambda n: 2 * n - 1, lambda n: gen_random_tree(n, args.seed)),

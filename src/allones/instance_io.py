@@ -15,15 +15,17 @@ any order and either endpoint first: the three header lines with single
 spaces, then only lines that are exactly 'e <i> <j>', endpoints in ASCII
 digits without leading zeros, and every line ending in '\n'.  Regular
 expressions admit such text slab by slab; each slab is split into tokens,
-a lookup turns them into vertex numbers, and the edges are checked in
-whole-list passes.  The bulk path makes no edge tuples and sorts nothing:
-it builds each vertex's toggle mask, the row of the press-effect
-matrix, directly, and the Instance derives its sorted edges from the
-masks only when they are read.  Any other text, and any text the bulk
-path finds a fault in, goes to the line-by-line parser.  So every other
-valid layout (comments, blank lines, CRLF, tabs, extra spaces, a missing
-final newline) parses to the same Instance, and only the line parser
-raises ParseError, naming the first bad line in file order.
+and a lookup turns them into vertex numbers, turning away any number >= n.
+The bulk path makes no edge tuples and sorts nothing: it builds each
+vertex's toggle mask, the row of the press-effect matrix, directly, and
+one popcount over the masks turns away self-loops and repeated edges.  The
+Instance derives its sorted edges from the masks only when they are read.
+Any other text, and any text the bulk path finds a fault in, goes to the
+line-by-line parser.  So every other valid layout (comments, blank lines,
+CRLF, tabs, extra spaces, a missing final newline) parses to the same
+Instance, and only the line parser raises ParseError, naming the first bad
+line in file order.  Both paths refuse a vertex count above VERTEX_LIMIT
+before building anything n-sized.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ def _clip(text: str, width: int = 40) -> str:
 
 _SWITCH_OF = {s.value: s for s in SwitchType}
 
+# most vertices an instance read from text may have: each vertex gets an
+# n-bit toggle mask, so memory grows as n squared whatever the edge count;
+# `allones solve` of a path, tree or grid this size peaks at 136-188 MiB RSS
+VERTEX_LIMIT = 30_000
+
 # The layout render_instance writes, with edges in any order: the header
 # (n, the switch string and the state string are groups 1-3), then lines
 # that are each exactly 'e <i> <j>'; _edge_endpoints turns away endpoints
@@ -143,11 +150,9 @@ def _parse_canonical(text: str) -> Optional[Instance]:
     header = _HEADER.match(text)
     if header is None:
         return None
-    try:
-        n = int(header[1])
-    except ValueError:  # a number longer than int() converts
-        return None
-    if len(header[2]) != n or len(header[3]) != n:
+    # the regex admits no leading zero, so the count reads exactly str(n)
+    n = len(header[2])
+    if n > VERTEX_LIMIT or header[1] != str(n) or len(header[3]) != n:
         return None
     endpoints = _edge_endpoints(text, header.end(), n)
     if endpoints is None:
@@ -184,15 +189,15 @@ def _parse_lines(text: str) -> Instance:
             raise ParseError(end, f"unexpected end of input, expected {expected}") from None
         return lineno, line.split()
 
-    lineno, fields = next_line("the 'allones <n>' header")
+    header_line, fields = next_line("the 'allones <n>' header")
     if len(fields) != 2 or fields[0] != "allones":
-        raise ParseError(lineno, "expected header 'allones <n>'")
+        raise ParseError(header_line, "expected header 'allones <n>'")
     try:
         n = int(fields[1])
     except ValueError:
-        raise ParseError(lineno, f"vertex count {_clip(fields[1])!r} is not an integer") from None
+        raise ParseError(header_line, f"vertex count {_clip(fields[1])!r} is not an integer") from None
     if n < 1:
-        raise ParseError(lineno, f"vertex count must be >= 1, got {_clip(str(n))}")
+        raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(str(n))}")
 
     lineno, fields = next_line("the 'switches' line")
     if len(fields) != 2 or fields[0] != "switches":
@@ -201,6 +206,10 @@ def _parse_lines(text: str) -> Instance:
         raise ParseError(
             lineno, f"switch string has length {len(fields[1])}, expected {_clip(str(n))}"
         )
+    # checked once the switch string agrees with the count, and before
+    # anything n-sized is built
+    if n > VERTEX_LIMIT:
+        raise ParseError(header_line, f"vertex count {n} is above the limit of {VERTEX_LIMIT}")
     try:
         switches = parse_switch_string(fields[1])
     except ValueError as exc:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from allones import approx, bench, cli, gf2
+from allones import approx, bench, cli, gf2, instance_io
 from allones.instance_io import gen_complete, gen_grid, render_instance
 
 FEASIBLE_KEYS = {
@@ -145,6 +145,33 @@ class TestSolve:
         assert_clean_usage_error(res)
 
 
+class TestVertexLimit:
+    @pytest.mark.parametrize("argv", [["solve"], ["verify", "-"]], ids=["solve", "verify"])
+    @pytest.mark.parametrize("whole", [False, True], ids=["header-only", "three-lines"])
+    def test_count_over_the_limit_fails_unbuilt(self, tmp_path, monkeypatch, capsys, argv, whole):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(instance_io, "Instance", refuse)
+        n = instance_io.VERTEX_LIMIT + 1
+        text = f"allones {n}\n"
+        if whole:
+            text += f"switches {'+' * n}\non {'0' * n}\n"
+        path = tmp_path / "big.ao"
+        path.write_text(text)
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        if whole:
+            assert err == (
+                f"error: line 1: vertex count {n} is above the limit of"
+                f" {instance_io.VERTEX_LIMIT}\n"
+            )
+        else:
+            assert err == "error: line 2: unexpected end of input, expected the 'switches' line\n"
+
+
 class TestVerify:
     def test_correct_press(self, k2_file):
         res = run_cli("verify", k2_file, "0")
@@ -222,6 +249,8 @@ class TestGen:
             ["grid", "578", "578"],
             ["gnp", "2000", "0.5"],
             ["gnp", "1" + "0" * 400, "0.5"],
+            # one draw per vertex pair, however few edges p leads to expect
+            ["gnp", "1414", "0.00001"],
         ],
     )
     def test_oversized_instance_is_refused_unbuilt(self, monkeypatch, capsys, params):
@@ -240,7 +269,7 @@ class TestGen:
     @pytest.mark.parametrize(
         "params",
         [["path", "500000"], ["cycle", "500000"], ["tree", "500000"],
-         ["complete", "1413"], ["grid", "577", "577"], ["gnp", "2000", "0.499"]],
+         ["complete", "1413"], ["grid", "577", "577"], ["gnp", "1413", "1"]],
     )
     def test_instance_at_the_limit_is_built(self, monkeypatch, params):
         built = []

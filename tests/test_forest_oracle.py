@@ -12,9 +12,12 @@ from allones import (
     exact_by_press_enumeration,
     gen_path,
     gen_random_tree,
+    is_all_on,
     simulate_presses,
     solve_approx,
 )
+from allones.approx import decompose
+from allones.exact import NULLSPACE_LIMIT, _live_masks, _part_dp
 from oracles import forest_min_press
 
 
@@ -93,3 +96,18 @@ def test_all_plus_trees_meet_both_bounds():
         sol = sol.with_opt(opt)
         assert 2 * sol.weight <= n + opt
         assert sol.weight <= sol.r
+
+
+def test_part_dp_agrees_past_the_walk_limit():
+    # all-'+' trees with n=1000 have m 32-60, where exact_by_nullspace
+    # returns None, so the DP is called on the decomposition directly
+    for seed in range(40):
+        inst = gen_random_tree(1000, seed)
+        _, dec = decompose(inst)
+        assert dec.m > NULLSPACE_LIMIT
+        vecs = dec.basis.packed_rows
+        opt, argmin = _part_dp(dec.gamma.bits, vecs, dec.parts, _live_masks(vecs, dec.parts))
+        assert opt == forest_opt(inst)
+        press = BitVec(inst.n, argmin)
+        assert press.weight == opt
+        assert is_all_on(simulate_presses(inst, press))

@@ -196,6 +196,50 @@ class TestBulkPath:
         assert exc.value.line == 3 + 12000
         assert str(exc.value) == f"line 12003: duplicate edge ({i}, {j})"
 
+    # the bulk path's vertex lookup turns away an endpoint >= n, and its
+    # popcount a self-loop: on a '+' vertex it sets no new bit, on a '-'
+    # vertex one, where a new edge sets two
+    @pytest.mark.parametrize(
+        "minus, extra, message",
+        [
+            (False, "e 7 7", "self-loop at vertex 7"),
+            (True, "e 7 7", "self-loop at vertex 7"),
+            (False, "e 0 12000", "edge (0, 12000) out of range for 12000 vertices"),
+        ],
+        ids=["plus-self-loop", "minus-self-loop", "endpoint-n"],
+    )
+    def test_fault_past_the_first_slab_falls_back(self, minus, extra, message):
+        inst = gen_random_tree(12000, seed=3)
+        if minus:
+            switches = list(inst.switches)
+            switches[7] = SwitchType.SIGMA
+            inst = Instance(inst.n, inst.edges, switches)
+        tree = render_instance(inst)
+        assert len(tree) - tree.index("\ne ") > instance_io._SLAB
+        # without the extra line the text takes the bulk path
+        assert _parse_canonical(tree) == inst
+        text = tree + extra + "\n"
+        assert _parse_canonical(text) is None
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert exc.value.line == 3 + 12000
+        assert str(exc.value) == f"line 12003: {message}"
+
+
+class TestVertexLimit:
+    @pytest.mark.parametrize("comment", ["", "# a comment sends the text to the line parser\n"])
+    def test_count_at_the_limit_parses_and_one_more_is_refused(self, monkeypatch, comment):
+        monkeypatch.setattr(instance_io, "VERTEX_LIMIT", 6)
+        at = comment + render_instance(gen_path(6))
+        assert parse_instance(at) == gen_path(6)
+        assert (_parse_canonical(at) is None) == bool(comment)
+        over = comment + render_instance(gen_path(7))
+        assert _parse_canonical(over) is None
+        with pytest.raises(ParseError) as exc:
+            parse_instance(over)
+        header = 2 if comment else 1
+        assert str(exc.value) == f"line {header}: vertex count 7 is above the limit of 6"
+
 
 def _families():
     """One instance per generator family, all '+' with lamps off, then each

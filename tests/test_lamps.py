@@ -10,6 +10,7 @@ from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
     EdgeError,
     Instance,
+    Solution,
     SwitchType,
     build_system,
     is_all_on,
@@ -148,3 +149,12 @@ def test_simulation_matches_algebra():
             lit = is_all_on(simulate_presses(inst, press))
             assert lit == (mat_vec(a, press) == b)
             pairs += 1
+
+
+def test_with_opt_accepts_only_g1_to_weight():
+    sol = Solution(press=BitVec.from01("11010"), m=2, g0=1, g1=1)
+    assert sol.with_opt(1).opt == 1
+    assert sol.with_opt(3).opt == 3
+    for opt in (0, 4):
+        with pytest.raises(ValueError, match=f"opt {opt} outside"):
+            sol.with_opt(opt)
