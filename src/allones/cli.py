@@ -17,6 +17,7 @@ from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench
 from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
 from .instance_io import (
+    VERTEX_LIMIT,
     ParseError,
     _clip,
     gen_complete,
@@ -233,7 +234,13 @@ def _build_parser() -> _Parser:
     p.add_argument("press", help="comma-separated vertex indices ('-' for none)")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit an instance file on stdout")
+    p = sub.add_parser(
+        "gen",
+        help="emit an instance file on stdout",
+        description=f"Emit an instance file on stdout, up to {GEN_LIMIT:,} vertices plus"
+        f" edges. solve and verify read at most {VERTEX_LIMIT:,} vertices, so"
+        " larger instances are for the Python API or other tools.",
+    )
     p.add_argument("family", help="path | cycle | complete | grid | gnp | tree")
     p.add_argument("params", nargs="*", help="family parameters (e.g. grid W H)")
     p.add_argument("--seed", type=int, default=0)

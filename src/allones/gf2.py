@@ -16,14 +16,18 @@ row of [a | b] bit-mirrored, leading column in the top bit and b in bit
 0, and feeds the rows lightest first (ties to the highest row index),
 which changes only the fill, to ``_basis``; that keys its slots by
 ``int.bit_length``, so every XOR shortens the row it clears.  ``solve``
-then back-substitutes the basis to the reduced row echelon form and
-writes gamma and the null basis in vertex order, so only the rows going
-in are mirrored.  ``_eliminate`` is the Gaussian forward pass with row
-swaps, driven by a list of each row's lowest set bit instead of a scan
-of the n columns; only ``column_echelon_grouped`` uses it, because the
-grouped echelon form (unlike the RREF) depends on how basis vectors
-were combined.  Its parts are vertex masks, so no vertex is sorted or
-permuted.
+then back-substitutes by whichever of two routes takes fewer steps:
+with r pivots, m free columns and T bits in the echelon rows, it solves
+the m + 1 systems (gamma's and one per free column) by parity, one AND
+and one popcount per pivot row each, when (m + 2) * r <= T, as on dense
+low-corank systems; otherwise it walks the T - r off-pivot bits to the
+reduced row echelon form.  Either way gamma and the null basis come out
+in vertex order, so only the rows going in are mirrored.
+``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
+list of each row's lowest set bit instead of a scan of the n columns;
+only ``column_echelon_grouped`` uses it, because the grouped echelon
+form (unlike the RREF) depends on how basis vectors were combined.  Its
+parts are vertex masks, so no vertex is sorted or permuted.
 """
 
 from __future__ import annotations
@@ -271,6 +275,15 @@ def solve(
     L = cols // 8 + 1 bytes per row, column c sits at bit 8L-1-c and b at
     bit 0, so a row's leading column is its top bit and its bit length
     names it.  gamma and the null vectors are written in vertex order.
+
+    Back-substitution takes one of two routes, both exact.  By parity,
+    each of the m + 1 systems costs one AND and one popcount per pivot
+    row, (m + 1) * r steps; the walk to the reduced row echelon form
+    costs one step per off-pivot bit of the echelon rows, T - r for T
+    bits in all.  Parity is taken when (m + 2) * r <= T: on dense
+    low-corank systems, where T grows as r squared, and on most systems
+    of full rank, where it costs one pass; sparse systems with many free
+    columns, such as random trees, walk.
     """
     if a.rows != b.n:
         raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
@@ -298,6 +311,25 @@ def solve(
     # a filled b slot is a row "0 = 1"
     if basis[1]:
         return r, None
+    m = cols - r
+    if (m + 2) * r <= sum(map(int.bit_count, basis)):
+        # few systems against many filled bits: solve the m + 1 systems
+        # by substitution, each in one mirrored int x that holds the
+        # constant 1 (gamma: bit 0, so a row's b bit counts) or free
+        # column f's 1 (null vector f).  A filled slot's row holds only
+        # its own pivot and higher columns, so, highest pivot column
+        # first, the pivot's value is the parity of row & x
+        pivots = [(1 << (k - 1), row) for k, row in enumerate(basis) if row]
+        seeds = [1] + [1 << (width - 1 - c) for c in range(cols) if not basis[width - c]]
+        sols = []
+        for x in seeds:
+            for top, row in pivots:
+                if (row & x).bit_count() & 1:
+                    x |= top
+            sols.append(int.from_bytes(x.to_bytes(nbytes, "big").translate(_REV), "little"))
+        # gamma's constant 1 un-mirrors to bit width-1, past its columns
+        gamma = sols[0] & ((1 << cols) - 1)
+        return r, (BitVec(cols, gamma), BitMat(m, cols, sols[1:]))
     # back-substitute to the reduced row echelon form, highest pivot column
     # (lowest slot) first: a row with a higher pivot is already reduced, so
     # it carries no pivot bit but its own, and XORing it in clears that bit

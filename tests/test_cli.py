@@ -280,6 +280,30 @@ class TestGen:
         assert len(built) == 1
 
 
+class TestGenAndVertexLimit:
+    # gen builds up to GEN_LIMIT vertices plus edges, but solve and verify
+    # read at most VERTEX_LIMIT vertices; gen's help says so
+    def test_gen_help_names_the_vertex_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen", "--help"])
+        assert exc.value.code == 0
+        assert f"read at most {instance_io.VERTEX_LIMIT:,} vertices" in capsys.readouterr().out
+
+    def test_gen_output_over_the_limit_fails_to_solve(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(instance_io, "VERTEX_LIMIT", 40)
+        for n, code in ((40, 0), (41, 1)):
+            assert cli.main(["gen", "path", str(n)]) == 0
+            path = tmp_path / f"path{n}.ao"
+            path.write_text(capsys.readouterr().out)
+            assert cli.main(["solve", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert out == ""
+                assert err == "error: line 1: vertex count 41 is above the limit of 40\n"
+            else:
+                assert out.startswith("feasible\npress: ") and err == ""
+
+
 class TestBench:
     def test_small_corpus_is_clean(self):
         res = run_cli(

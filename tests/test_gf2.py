@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from allones import gf2
 from allones.gf2 import BitMat, BitVec, solve
 from helpers import bitmat, mat_vec
 
@@ -314,6 +315,57 @@ class TestSolve:
         r, (gamma, basis) = _matches_oracle(BitMat(4, 5, [0] * 4), BitVec.zeros(4))
         eye = BitMat(5, 5, [1 << i for i in range(5)])
         assert (r, gamma, basis) == (0, BitVec.zeros(5), eye)
+
+
+def _route(monkeypatch, a, b):
+    """The back-substitution route solve takes on a.u = b.
+
+    solve back-substitutes by parity ("substitution") when (m + 2) * r is
+    at most the bits its echelon rows hold, and walks the pivot bits
+    ("walk") otherwise; a spy on _basis counts both.
+    """
+    counts = []
+    basis = gf2._basis
+
+    def spy(rows, width):
+        slots = basis(rows, width)
+        counts.append((sum(map(bool, slots[2:])), sum(map(int.bit_count, slots))))
+        return slots
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2, "_basis", spy)
+        solve(a, b)
+    [(r, bits)] = counts
+    return "substitution" if (a.cols - r + 2) * r <= bits else "walk"
+
+
+class TestBackSubstitutionRoutes:
+    @pytest.mark.parametrize("n", [64, 65, 200, 450])
+    def test_dense_press_systems_by_substitution(self, n, monkeypatch):
+        # substitution route: these G(n, 1/2) have corank 0 or 1, and
+        # their echelon rows hold about n^2/4 bits, far above (m + 2) * r.
+        # n = 64 and 65 put the last column at either end of a byte
+        rnd = random.Random(n)
+        edges = [(i, j) for j in range(n) for i in range(j) if rnd.getrandbits(1)]
+        a, lamps_off = _graph_system(n, edges, [True] * n, [0] * n)
+        mixed = mat_vec(a, BitVec(n, rnd.getrandbits(n)))
+        for b in (lamps_off, mixed):
+            assert _route(monkeypatch, a, b) == "substitution"
+            _, res = _matches_oracle(a, b)
+            assert res is not None
+
+    def test_tree_by_walk(self, monkeypatch):
+        # walk route: a tree's echelon rows stay sparse, so with corank
+        # m > 20 the m + 1 parity passes would cost more than the walk
+        rnd = random.Random(0)
+        n = 400
+        edges = [(rnd.randrange(v), v) for v in range(1, n)]
+        a, lamps_off = _graph_system(n, edges, [True] * n, [0] * n)
+        mixed = mat_vec(a, BitVec(n, rnd.getrandbits(n)))
+        for b in (lamps_off, mixed):
+            assert _route(monkeypatch, a, b) == "walk"
+            r, res = _matches_oracle(a, b)
+            assert n - r > 20 and res is not None
 
 
 @settings(deadline=None)
