@@ -195,6 +195,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:
         return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
+    # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
+    # holds n-bit masks: both grow as n squared
+    n = max(sizes)
+    if n + n * (n - 1) // 2 > GEN_LIMIT:
+        return _fail(
+            f"--sizes {_clip(args.sizes)!r} lists a size that has more than"
+            f" {GEN_LIMIT} vertices plus vertex pairs"
+        )
     if args.trials < 1:
         return _fail(f"--trials {args.trials} is below 1")
     if args.oracle_limit > PRESS_LIMIT:

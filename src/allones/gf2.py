@@ -15,14 +15,11 @@ than for a scan of every row or column per pivot.  ``solve`` packs each
 row of [a | b] bit-mirrored, leading column in the top bit and b in bit
 0, and feeds the rows lightest first (ties to the highest row index),
 which changes only the fill, to ``_basis``; that keys its slots by
-``int.bit_length``, so every XOR shortens the row it clears.  ``solve``
-then back-substitutes by whichever of two routes takes fewer steps:
-with r pivots, m free columns and T bits in the echelon rows, it solves
-the m + 1 systems (gamma's and one per free column) by parity, one AND
-and one popcount per pivot row each, when (m + 2) * r <= T, as on dense
-low-corank systems; otherwise it walks the T - r off-pivot bits to the
-reduced row echelon form.  Either way gamma and the null basis come out
-in vertex order, so only the rows going in are mirrored.
+``int.bit_length``, so every XOR shortens the row it clears.  Reading
+b as one more free column, ``solve`` back-substitutes the m + 1 systems
+(gamma's and one per free column) by ``_by_parity`` or ``_by_walk``,
+whichever takes fewer steps; both return the same mirrored solutions,
+and the reversal that packed the rows reads them out in vertex order.
 ``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
 list of each row's lowest set bit instead of a scan of the n columns;
 only ``column_echelon_grouped`` uses it, because the grouped echelon
@@ -257,6 +254,56 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
     return pivots
 
 
+def _mirror(x: int, nbytes: int) -> int:
+    """x with its low 8 * nbytes bits reversed, an involution: the bytes
+    go out little-endian and back big-endian, _REV reverses each one."""
+    return int.from_bytes(x.to_bytes(nbytes, "little").translate(_REV), "big")
+
+
+def _by_parity(basis: list[int], seeds: list[int]) -> list[int]:
+    """Each seed's mirrored solution over a consistent ``_basis`` result:
+    a filled slot's row holds only its own pivot and higher columns, so,
+    highest pivot first, its pivot is the parity of row & x."""
+    pivots = [(1 << (k - 1), row) for k, row in enumerate(basis) if row]
+    sols = []
+    for x in seeds:
+        for top, row in pivots:
+            if (row & x).bit_count() & 1:
+                x |= top
+        sols.append(x)
+    return sols
+
+
+def _by_walk(basis: list[int], seeds: list[int]) -> list[int]:
+    """``_by_parity``'s solutions, by reducing ``basis`` in place to the RREF.
+
+    Highest pivot column (lowest slot) first, a row with a higher pivot is
+    already reduced: it carries no pivot bit but its own, and XORing it in
+    clears that bit and sets no other, so only a row's pivot bits cost a
+    step.  A reduced row's pivot is one in the system of each seed bit the
+    row holds, so its pivot bit is gathered under that seed's bit length.
+    """
+    seedmask = sum(seeds)
+    pivmask = ((1 << (len(basis) - 1)) - 1) ^ seedmask
+    sols = [0] * len(basis)
+    for k, row in enumerate(basis):
+        if not row:
+            continue
+        top = 1 << (k - 1)
+        x = (row & pivmask) ^ top
+        while x:
+            j = x.bit_length()
+            row ^= basis[j]
+            x ^= 1 << (j - 1)
+        basis[k] = row
+        f = row & seedmask
+        while f:
+            j = f.bit_length()
+            sols[j] |= top
+            f ^= 1 << (j - 1)
+    return [sols[x.bit_length()] | x for x in seeds]
+
+
 def solve(
     a: BitMat, b: BitVec
 ) -> tuple[int, Optional[tuple[BitVec, BitMat]]]:
@@ -274,7 +321,9 @@ def solve(
     Inside, each row of [a | b] is bit-mirrored for ``_basis``: with
     L = cols // 8 + 1 bytes per row, column c sits at bit 8L-1-c and b at
     bit 0, so a row's leading column is its top bit and its bit length
-    names it.  gamma and the null vectors are written in vertex order.
+    names it.  b is never a pivot of a consistent system, so it is read
+    out like a free column: gamma's system is seeded with b's bit (the
+    constant one) and each null vector's with its free column's bit.
 
     Back-substitution takes one of two routes, both exact.  By parity,
     each of the m + 1 systems costs one AND and one popcount per pivot
@@ -291,12 +340,8 @@ def solve(
     nbytes = cols // 8 + 1
     width = 8 * nbytes
     flags = format(b.bits, f"0{b.n}b")[::-1]
-    # writing the bytes little-endian and reading them big-endian mirrors
-    # their order, _REV the bits within each byte; b (a bool) is bit 0
-    rows = [
-        int.from_bytes(row.to_bytes(nbytes, "little").translate(_REV), "big") | (f == "1")
-        for f, row in zip(flags, a.packed_rows)
-    ]
+    # b (a bool) is bit 0
+    rows = [_mirror(row, nbytes) | (f == "1") for f, row in zip(flags, a.packed_rows)]
     # _basis pops from the end, so it meets the lightest rows first, ties
     # to the highest index (a reverse sort stays stable): light rows carry
     # few bits into their slots, and on a banded system such as a grid the
@@ -304,63 +349,17 @@ def solve(
     # changes only the fill, never the RREF read off below
     rows.sort(key=int.bit_count, reverse=True)
     basis = _basis(rows, width)
-    # bit k-1 of pivmask is set when slot k >= 2 holds a row, which makes
-    # column width-k a pivot column
-    pivmask = int("".join(["1" if row else "0" for row in reversed(basis[2:])]) + "0", 2)
-    r = pivmask.bit_count()
+    # slot width - c holds column c's pivot row; b's seed comes first
+    seeds = [1] + [1 << (width - 1 - c) for c in range(cols) if not basis[width - c]]
+    m = len(seeds) - 1
+    r = cols - m
     # a filled b slot is a row "0 = 1"
     if basis[1]:
         return r, None
-    m = cols - r
-    if (m + 2) * r <= sum(map(int.bit_count, basis)):
-        # few systems against many filled bits: solve the m + 1 systems
-        # by substitution, each in one mirrored int x that holds the
-        # constant 1 (gamma: bit 0, so a row's b bit counts) or free
-        # column f's 1 (null vector f).  A filled slot's row holds only
-        # its own pivot and higher columns, so, highest pivot column
-        # first, the pivot's value is the parity of row & x
-        pivots = [(1 << (k - 1), row) for k, row in enumerate(basis) if row]
-        seeds = [1] + [1 << (width - 1 - c) for c in range(cols) if not basis[width - c]]
-        sols = []
-        for x in seeds:
-            for top, row in pivots:
-                if (row & x).bit_count() & 1:
-                    x |= top
-            sols.append(int.from_bytes(x.to_bytes(nbytes, "big").translate(_REV), "little"))
-        # gamma's constant 1 un-mirrors to bit width-1, past its columns
-        gamma = sols[0] & ((1 << cols) - 1)
-        return r, (BitVec(cols, gamma), BitMat(m, cols, sols[1:]))
-    # back-substitute to the reduced row echelon form, highest pivot column
-    # (lowest slot) first: a row with a higher pivot is already reduced, so
-    # it carries no pivot bit but its own, and XORing it in clears that bit
-    # without setting another one; only the pivot bits a row holds cost a
-    # step.  A reduced row is final, so the null vector of free column f
-    # gains the pivot column of every reduced row that holds f (pivot
-    # columns keep a 0 placeholder), and its b bit is gamma's bit there
-    freemask = ((1 << width) - 2) ^ pivmask
-    vecs = [0 if basis[width - c] else 1 << c for c in range(cols)]
-    for k in range(2, width + 1):
-        row = basis[k]
-        if not row:
-            continue
-        x = (row & pivmask) ^ (1 << (k - 1))
-        while x:
-            j = x.bit_length()
-            row ^= basis[j]
-            x ^= 1 << (j - 1)
-        basis[k] = row
-        f = row & freemask
-        if f:
-            piv = 1 << (width - k)
-            while f:
-                j = f.bit_length()
-                vecs[width - j] |= piv
-                f ^= 1 << (j - 1)
-    # one parse instead of an n-bit OR per pivot; a free column's slot is 0
-    gamma = int("0" + "".join(["1" if basis[width - c] & 1 else "0"
-                               for c in range(cols - 1, -1, -1)]), 2)
-    vecs = [v for v in vecs if v]
-    return r, (BitVec(cols, gamma), BitMat(len(vecs), cols, vecs))
+    route = _by_parity if (m + 2) * r <= sum(map(int.bit_count, basis)) else _by_walk
+    sols = [_mirror(x, nbytes) for x in route(basis, seeds)]
+    # gamma's seed un-mirrors to bit width-1, past its columns
+    return r, (BitVec(cols, sols[0] & ((1 << cols) - 1)), BitMat(m, cols, sols[1:]))
 
 
 def column_echelon_grouped(

@@ -406,6 +406,29 @@ class TestBench:
         assert res.returncode == 0
         assert "violations: none" in res.stdout
 
+    def test_oversized_size_is_refused_undrawn(self, monkeypatch, capsys):
+        # bench draws its G(n, p) as gen gnp does, once per vertex pair, so
+        # the same GEN_LIMIT rule bounds it: n = 1413 fits, 1414 does not
+        class Reached(Exception):
+            pass
+
+        def refuse(*args):
+            raise AssertionError("an instance was drawn")
+
+        def stub(sizes, *args, **kwargs):
+            raise Reached(sizes)
+
+        monkeypatch.setattr(bench, "gen_random_mixed", refuse)
+        monkeypatch.setattr(cli, "run_bench", stub)
+        assert cli.main(["bench", "--sizes", "8,1414"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus vertex pairs\n")
+        assert len(err.splitlines()) == 1
+        with pytest.raises(Reached) as reached:
+            cli.main(["bench", "--sizes", "1413"])
+        assert reached.value.args == ([1413],)
+
 
 class TestUsage:
     def test_no_command(self):

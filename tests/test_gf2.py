@@ -339,6 +339,35 @@ def _route(monkeypatch, a, b):
     return "substitution" if (a.cols - r + 2) * r <= bits else "walk"
 
 
+def _solve_both_ways(a, b):
+    """solve(a, b) back-substituted once by parity and once by the walk,
+    each forced on the same system; both must match the numpy oracle."""
+    results = []
+    for route in (gf2._by_parity, gf2._by_walk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf2, "_by_parity", route)
+            patch.setattr(gf2, "_by_walk", route)
+            results.append(_matches_oracle(a, b))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def _dense_press_systems(n):
+    """A G(n, 1/2) press system, all '+', with lamps off and with b = A.u."""
+    rnd = random.Random(n)
+    edges = [(i, j) for j in range(n) for i in range(j) if rnd.getrandbits(1)]
+    a, lamps_off = _graph_system(n, edges, [True] * n, [0] * n)
+    return a, (lamps_off, mat_vec(a, BitVec(n, rnd.getrandbits(n))))
+
+
+def _tree_press_systems(n):
+    """A random tree's press system, all '+', with lamps off and with b = A.u."""
+    rnd = random.Random(0)
+    edges = [(rnd.randrange(v), v) for v in range(1, n)]
+    a, lamps_off = _graph_system(n, edges, [True] * n, [0] * n)
+    return a, (lamps_off, mat_vec(a, BitVec(n, rnd.getrandbits(n))))
+
+
 class TestBackSubstitutionRoutes:
     @pytest.mark.parametrize("n", [64, 65, 200, 450])
     def test_dense_press_systems_by_substitution(self, n, monkeypatch):
@@ -367,11 +396,32 @@ class TestBackSubstitutionRoutes:
             r, res = _matches_oracle(a, b)
             assert n - r > 20 and res is not None
 
+    @pytest.mark.parametrize("n", [64, 65, 200, 450])
+    def test_dense_press_systems_by_both_routes(self, n):
+        # systems that take parity, walked as well
+        a, rhs = _dense_press_systems(n)
+        for b in rhs:
+            assert _solve_both_ways(a, b)[1] is not None
+
+    def test_tree_by_both_routes(self):
+        # a system that walks, by parity as well
+        a, rhs = _tree_press_systems(400)
+        for b in rhs:
+            r, res = _solve_both_ways(a, b)
+            assert 400 - r > 20 and res is not None
+
 
 @settings(deadline=None)
 @given(sparse_systems())
 def test_sparse_systems_match_oracle(system):
     _matches_oracle(*system)
+
+
+@settings(deadline=None)
+@given(st.one_of(sparse_systems(), dense_systems()))
+def test_both_routes_match_oracle(system):
+    # each system on the route solve would not pick for it, too
+    _solve_both_ways(*system)
 
 
 @settings(deadline=None)
