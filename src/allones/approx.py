@@ -5,7 +5,8 @@ basis and group the vertices by their last nonzero column, then fix one
 free coordinate per group by majority vote.  The returned press set u is
 guaranteed feasible with weight(u) <= r (system rank) and
 2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.  It comes
-back as a ``lamps.Solution`` that holds u, m, g0 and g1, with r = n - m.
+back as a ``lamps.Solution`` that holds u and the echelon decomposition,
+which carries r, m, g0 and g1.
 """
 
 from __future__ import annotations
@@ -54,26 +55,18 @@ def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
 
 
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
-    """Re-derive the press set from a cached decomposition (O(m) mask operations).
-
-    g1/g0 count the presses/non-presses of gamma over part 0, where every
-    solution agrees with gamma.
-    """
-    _, press = greedy_assign(dec)
-    part0 = dec.parts[0]
-    g1 = (dec.gamma.bits & part0).bit_count()
-    g0 = part0.bit_count() - g1
-    return Solution(press=press, m=dec.m, g0=g0, g1=g1, decomposition=dec)
+    """Re-derive the press set from a cached decomposition (O(m) mask operations)."""
+    return Solution(greedy_assign(dec)[1], dec)
 
 
 def solve_approx(inst: Instance) -> tuple[int, Optional[Solution]]:
     """Feasibility check plus an approximate minimum press set.
 
     Returns (r, sol) with r the rank of the press-effect matrix; sol is
-    None iff the instance has no solution at all.  Otherwise sol carries
-    m, g0 and g1 (so sol.r == r) and, as sol.decomposition, the
-    decomposition it was read from; opt is left unset (see the exact
-    module for oracles that can fill it in).
+    None iff the instance has no solution at all.  Otherwise
+    sol.decomposition is the decomposition the press set was read from,
+    which carries m, g0 and g1 (so sol.decomposition.r == r); opt is left
+    unset (see the exact module for oracles that can fill it in).
     """
     r, dec = decompose(inst)
     return r, None if dec is None else solve_from_decomposition(dec)

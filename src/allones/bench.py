@@ -49,7 +49,7 @@ def check_instance(
     dec = sol.decomposition
     if not is_all_on(simulate_presses(inst, sol.press)):
         violations.append("feasibility")
-    if sol.weight > sol.r:
+    if sol.weight > dec.r:
         violations.append("rankBound")
     if sol.weight > sol.bound_mixed:
         violations.append("mixedBound")
@@ -68,7 +68,7 @@ def check_instance(
         else:
             opt = by_press[0]
             ratio = sol.weight / opt if opt else 1.0
-            if not (sol.g1 <= opt <= sol.weight and 2 * sol.weight <= n + opt):
+            if not (dec.g1 <= opt <= sol.weight and 2 * sol.weight <= n + opt):
                 violations.append("optSandwich")
     return True, ratio, solve_sec, violations
 

@@ -96,21 +96,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             print(f"r: {r}")
             print(f"m: {inst.n - r}")
         return EXIT_INFEASIBLE
-    if sol.m <= args.exact_limit:
+    dec = sol.decomposition
+    if dec.m <= args.exact_limit:
         # the echelon form spans the same solution set, so its minimum
         # weight is opt
-        dec = sol.decomposition
         sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.basis)[0])
     mixed = sol.bound_mixed
     payload: dict = {
         "feasible": True,
         "press": sol.press.indices(),
         "sol": sol.weight,
-        "r": sol.r,
-        "m": sol.m,
-        "g0": sol.g0,
-        "g1": sol.g1,
-        "boundRank": sol.r,
+        "r": dec.r,
+        "m": dec.m,
+        "g0": dec.g0,
+        "g1": dec.g1,
+        "boundRank": dec.r,
         "boundMixedNumerator": mixed.numerator,
         "boundMixedDenominator": mixed.denominator,
     }
@@ -123,8 +123,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("feasible")
         print(f"press: {press}")
         print(f"sol: {sol.weight}")
-        print(f"r: {sol.r} m: {sol.m} g0: {sol.g0} g1: {sol.g1}")
-        print(f"bound(rank): {sol.r}")
+        print(f"r: {dec.r} m: {dec.m} g0: {dec.g0} g1: {dec.g1}")
+        print(f"bound(rank): {dec.r}")
         print(f"bound(mixed): {mixed}")
         if sol.opt is not None:
             print(f"opt: {sol.opt} (gap {sol.weight - sol.opt})")
@@ -195,16 +195,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:
         return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
-    # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
-    # holds n-bit masks: both grow as n squared
-    n = max(sizes)
-    if n + n * (n - 1) // 2 > GEN_LIMIT:
-        return _fail(
-            f"--sizes {_clip(args.sizes)!r} lists a size that has more than"
-            f" {GEN_LIMIT} vertices plus vertex pairs"
-        )
     if args.trials < 1:
         return _fail(f"--trials {args.trials} is below 1")
+    # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
+    # holds n-bit masks: each instance costs about n squared, and every
+    # size is drawn --trials times
+    if args.trials * sum(n + n * (n - 1) // 2 for n in sizes) > GEN_LIMIT:
+        return _fail(
+            f"--sizes {_clip(args.sizes)!r} with --trials {_clip(str(args.trials), 20)}"
+            f" has more than {GEN_LIMIT} vertices plus vertex pairs"
+        )
     if args.oracle_limit > PRESS_LIMIT:
         return _fail(f"--oracle-limit {args.oracle_limit} exceeds {PRESS_LIMIT}")
     if args.oracle_limit < 0:

@@ -155,6 +155,11 @@ class EchelonDecomposition:
     touches it is i-1, and in part 0 when none does; ``parts[i]`` is part i
     as a vertex mask, so the parts partition the vertices.  In echelon form
     every part i >= 1 is nonempty.
+
+    Every solution agrees with gamma on part 0, so the decomposition
+    certifies the bounds of any press set read from it: r = n - m is the
+    rank of the system, and g1/g0 count gamma's ones/zeros on part 0, the
+    forced presses/non-presses.
     """
 
     __slots__ = ("basis", "parts", "gamma")
@@ -181,6 +186,18 @@ class EchelonDecomposition:
     @property
     def m(self) -> int:
         return self.basis.rows
+
+    @property
+    def r(self) -> int:
+        return self.n - self.m
+
+    @property
+    def g1(self) -> int:
+        return (self.gamma.bits & self.parts[0]).bit_count()
+
+    @property
+    def g0(self) -> int:
+        return self.parts[0].bit_count() - self.g1
 
     def __repr__(self) -> str:
         sizes = [part.bit_count() for part in self.parts]

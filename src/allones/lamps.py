@@ -4,12 +4,11 @@ An instance is a simple graph with a lamp and a button on every vertex.
 Pressing a SIGMA_PLUS button toggles the vertex's own lamp and all of its
 neighbors' lamps; a SIGMA button toggles the neighbors' lamps only.  The
 goal is a press set that leaves every lamp on.  ``Solution`` holds such
-a press set together with the data behind its bounds.
+a press set together with the decomposition behind its bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import index
@@ -195,53 +194,40 @@ def _toggle_rows(
     return masks
 
 
-@dataclass(frozen=True)
 class Solution:
-    """A feasible press set with the data behind its two bounds.
+    """A feasible press set and the echelon decomposition it was read from.
 
-    m is the corank of the press-effect matrix, so r = n - m is its rank;
-    g0/g1 count the forced non-presses/presses (zeros/ones of the
-    particular solution over the all-zero echelon part).  opt, when
+    The decomposition carries the data behind the two bounds: the rank r,
+    the corank m, and g0/g1, the forced non-presses/presses.  opt, when
     present, is the exact minimum, and g1 <= opt <= weight must hold.
-    decomposition, when set, is the echelon decomposition (basis, parts
-    and gamma, all over the vertices) the press set was read from; it takes
-    no part in equality.
     """
 
-    press: BitVec
-    m: int
-    g0: int
-    g1: int
-    opt: Optional[int] = None
-    decomposition: Optional[EchelonDecomposition] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("press", "decomposition", "opt")
 
-    def __post_init__(self) -> None:
-        if self.opt is not None and not self.g1 <= self.opt <= self.weight:
-            raise ValueError(f"opt {self.opt} outside [g1={self.g1}, weight={self.weight}]")
-
-    @property
-    def n(self) -> int:
-        return self.press.n
+    def __init__(
+        self, press: BitVec, decomposition: EchelonDecomposition, opt: Optional[int] = None
+    ) -> None:
+        if opt is not None and not decomposition.g1 <= opt <= press.weight:
+            raise ValueError(
+                f"opt {opt} outside [g1={decomposition.g1}, weight={press.weight}]"
+            )
+        self.press = press
+        self.decomposition = decomposition
+        self.opt = opt
 
     @property
     def weight(self) -> int:
         return self.press.weight
 
     @property
-    def r(self) -> int:
-        """Rank of the system, a guaranteed upper bound on the weight."""
-        return self.n - self.m
-
-    @property
     def bound_mixed(self) -> Fraction:
         """Guaranteed upper bound (n + g1 - g0)/2, kept exact."""
-        return Fraction(self.n + self.g1 - self.g0, 2)
+        dec = self.decomposition
+        return Fraction(dec.n + dec.g1 - dec.g0, 2)
 
     def with_opt(self, opt: int) -> "Solution":
         """Attach an exact optimum (validates g1 <= opt <= weight)."""
-        return replace(self, opt=opt)
+        return Solution(self.press, self.decomposition, opt)
 
 
 def build_system(inst: Instance) -> tuple[BitMat, BitVec]:

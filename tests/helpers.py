@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from allones import BitMat, BitVec, Instance, SwitchType
+from allones import BitMat, BitVec, Instance, Solution, SwitchType
 
 
 def random_instance(rnd: random.Random, max_n: int = 64) -> Instance:
@@ -23,6 +23,12 @@ def random_instance(rnd: random.Random, max_n: int = 64) -> Instance:
         for _ in range(n)
     )
     return Instance(n, edges, switches, BitVec(n, rnd.getrandbits(n)))
+
+
+def answer(sol: Solution) -> tuple:
+    """What two solves of one instance agree on: press, m, g0, g1 and opt."""
+    dec = sol.decomposition
+    return sol.press, dec.m, dec.g0, dec.g1, sol.opt
 
 
 def mat_vec(m: BitMat, v: BitVec) -> BitVec:

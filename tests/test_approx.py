@@ -22,7 +22,7 @@ from allones.instance_io import (
     parse_instance,
 )
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
-from helpers import mat_vec, random_instance
+from helpers import answer, mat_vec, random_instance
 
 
 def _dec(n, vecs, gamma_bits):
@@ -112,8 +112,8 @@ class TestSolveApprox:
     def test_triangle_certificate(self):
         _, sol = solve_approx(gen_complete(3))
         assert sol.weight == 1
-        assert sol.r == 1
-        assert sol.m == 2
+        assert sol.decomposition.r == 1
+        assert sol.decomposition.m == 2
 
     def test_infeasible_single_sigma(self):
         assert solve_approx(Instance(1, [], (SwitchType.SIGMA,))) == (0, None)
@@ -127,9 +127,11 @@ class TestSolveApprox:
         rnd = random.Random(88)
         for _ in range(30):
             inst = random_instance(rnd, max_n=24)
-            first = solve_approx(inst)
-            second = solve_approx(inst)
-            assert first == second
+            (r1, first), (r2, second) = solve_approx(inst), solve_approx(inst)
+            assert r1 == r2
+            assert (first is None) == (second is None)
+            if first is not None:
+                assert answer(first) == answer(second)
 
     def test_answers_are_pinned(self):
         # press sets and certificates of a fixed seeded corpus; the digest
@@ -141,8 +143,8 @@ class TestSolveApprox:
             if sol is None:
                 answers.append((r, None))
             else:
-                c = sol
-                answers.append((r, sol.press.indices(), c.m, c.g0, c.g1))
+                dec = sol.decomposition
+                answers.append((r, sol.press.indices(), dec.m, dec.g0, dec.g1))
         assert len(answers) == 162
         assert sum(a[1] is not None for a in answers) == 96
         assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
@@ -168,8 +170,8 @@ class TestSolveApprox:
                 if sol is None:
                     answers.append((r, None))
                 else:
-                    c = sol
-                    answers.append((r, sol.press.indices(), c.m, c.g0, c.g1))
+                    dec = sol.decomposition
+                    answers.append((r, sol.press.indices(), dec.m, dec.g0, dec.g1))
         assert len(answers) == 18
         assert sum(a[1] is not None for a in answers) == 11
         assert hashlib.sha256(repr(answers).encode()).hexdigest() == (
@@ -187,8 +189,8 @@ class TestSolveApprox:
         _, sol = solve_approx(inst)
         opt = exact_by_press_enumeration(inst)[0]
         assert (sol.weight, opt) == (3, 2)
-        cert = sol
-        assert cert.g1 <= opt <= sol.weight <= cert.r
+        dec = sol.decomposition
+        assert dec.g1 <= opt <= sol.weight <= dec.r
         assert 2 * sol.weight <= inst.n + opt
         assert is_all_on(simulate_presses(inst, sol.press))
 
@@ -202,12 +204,11 @@ class TestSolveApprox:
                 continue
             feasible += 1
             sol = solve_from_decomposition(dec)
-            cert = sol
             a, b = build_system(inst)
             assert mat_vec(a, sol.press) == b
             assert is_all_on(simulate_presses(inst, sol.press))
-            assert sol.weight <= cert.r
-            assert 2 * sol.weight <= inst.n + cert.g1 - cert.g0
+            assert sol.weight <= dec.r
+            assert 2 * sol.weight <= inst.n + dec.g1 - dec.g0
             _, u = greedy_assign(dec)
             for part in dec.parts[1:]:
                 assert 2 * (u.bits & part).bit_count() <= part.bit_count()
@@ -217,8 +218,7 @@ class TestSolveApprox:
 class TestComputeBounds:
     @staticmethod
     def _g0_g1(dec):
-        cert = solve_from_decomposition(dec)
-        return cert.g0, cert.g1
+        return dec.g0, dec.g1
 
     def test_empty_part_zero(self):
         dec = _dec(2, [0b11], 0b01)
@@ -233,6 +233,7 @@ class TestComputeBounds:
         # 5x5 grid: the null space vanishes on five vertices whose forced
         # press is 1, so g0=0, g1=5 (values derived with the dense oracle)
         _, sol = solve_approx(gen_grid(5, 5))
-        assert sol.r == 23
-        assert (sol.g0, sol.g1) == (0, 5)
+        dec = sol.decomposition
+        assert dec.r == 23
+        assert (dec.g0, dec.g1) == (0, 5)
         assert sol.bound_mixed == Fraction(30, 2)

@@ -1,6 +1,5 @@
 """CLI behavior: exit codes, JSON schema, determinism, bench report."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ import sys
 
 import pytest
 
-from allones import approx, bench, cli, gf2, instance_io
+from allones import approx, bench, cli, gf2, instance_io, lamps
 from allones.instance_io import gen_complete, gen_grid, render_instance
 
 FEASIBLE_KEYS = {
@@ -345,8 +344,9 @@ class TestBench:
             r, sol = real(inst)
             if sol is None:
                 return r, None
-            press = gf2.BitVec(sol.n, make_bits(sol.press.bits, sol.n))
-            return r, dataclasses.replace(sol, press=press)
+            n = sol.press.n
+            press = gf2.BitVec(n, make_bits(sol.press.bits, n))
+            return r, lamps.Solution(press, sol.decomposition)
 
         monkeypatch.setattr(bench, "solve_approx", doctored)
 
@@ -408,7 +408,9 @@ class TestBench:
 
     def test_oversized_size_is_refused_undrawn(self, monkeypatch, capsys):
         # bench draws its G(n, p) as gen gnp does, once per vertex pair, so
-        # the same GEN_LIMIT rule bounds it: n = 1413 fits, 1414 does not
+        # the GEN_LIMIT rule bounds the total over every trial of every size:
+        # one trial of n = 1413 fits, 1414 does not; a long --trials is cut
+        # short in the message
         class Reached(Exception):
             pass
 
@@ -420,13 +422,18 @@ class TestBench:
 
         monkeypatch.setattr(bench, "gen_random_mixed", refuse)
         monkeypatch.setattr(cli, "run_bench", stub)
-        assert cli.main(["bench", "--sizes", "8,1414"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus vertex pairs\n")
-        assert len(err.splitlines()) == 1
+        for flags in (["--sizes", "8,1414"],
+                      ["--sizes", "1413", "--trials", "2"],
+                      ["--sizes", "1000,1000", "--trials", "1"],
+                      ["--sizes", "8", "--trials", "1000000"],
+                      ["--sizes", "8", "--trials", "9" * 4000]):
+            assert cli.main(["bench", *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus vertex pairs\n")
+            assert len(err.splitlines()) == 1 and len(err) < 200
         with pytest.raises(Reached) as reached:
-            cli.main(["bench", "--sizes", "1413"])
+            cli.main(["bench", "--sizes", "1413", "--trials", "1"])
         assert reached.value.args == ([1413],)
 
 
@@ -477,6 +484,14 @@ class TestUsage:
         assert run_cli("verify", k2_file, "0,x").stderr == (
             "error: press vector '0,x' is not a comma-separated index list\n"
         )
+
+    def test_import_leaves_dataclasses_unloaded(self):
+        # dataclasses pulls inspect, ast, dis and tokenize in, which would
+        # add to the start of every allones call
+        code = "import sys, allones.cli; print('dataclasses' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
 
     def test_help_exits_zero(self):
         res = run_cli("solve", "-h")

@@ -79,9 +79,9 @@ def test_agrees_with_nullspace_oracle_and_solver_feasibility():
         if sol is None:
             infeasible += 1
             continue
-        assert sol.g1 <= opt <= sol.weight
-        if sol.m <= 20:
-            dec = sol.decomposition
+        dec = sol.decomposition
+        assert dec.g1 <= opt <= sol.weight
+        if dec.m <= 20:
             assert exact_by_nullspace(dec.gamma, dec.basis)[0] == opt
             checked += 1
     assert checked >= 100 and infeasible >= 50
@@ -95,7 +95,7 @@ def test_all_plus_trees_meet_both_bounds():
         _, sol = solve_approx(inst)
         sol = sol.with_opt(opt)
         assert 2 * sol.weight <= n + opt
-        assert sol.weight <= sol.r
+        assert sol.weight <= sol.decomposition.r
 
 
 def test_part_dp_agrees_past_the_walk_limit():

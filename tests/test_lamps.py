@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from allones.gf2 import BitVec
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition
 from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
     EdgeError,
@@ -152,7 +152,12 @@ def test_simulation_matches_algebra():
 
 
 def test_with_opt_accepts_only_g1_to_weight():
-    sol = Solution(press=BitVec.from01("11010"), m=2, g0=1, g1=1)
+    # part 0 is vertices 0, 2 and 4, where gamma presses only vertex 0, and
+    # the press set is gamma plus both basis vectors
+    dec = EchelonDecomposition(BitMat(2, 5, [0b00010, 0b01000]), BitVec.from01("10000"))
+    assert dec.g1 == 1
+    sol = Solution(BitVec.from01("11010"), dec)
+    assert sol.weight == 3
     assert sol.with_opt(1).opt == 1
     assert sol.with_opt(3).opt == 3
     for opt in (0, 4):
