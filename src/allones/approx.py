@@ -6,18 +6,16 @@ free coordinate per group by majority vote.  The returned press set u is
 guaranteed feasible with weight(u) <= r (system rank) and
 2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.  It comes
 back as a ``lamps.Solution`` that holds u and the echelon decomposition,
-which carries r, m, g0 and g1.
+which carries both bounds as ints: r and bound_mixed_x2 = n + g1 - g0.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
 from .lamps import Instance, Solution, build_system
 
 
-def decompose(inst: Instance) -> tuple[int, Optional[EchelonDecomposition]]:
+def decompose(inst: Instance) -> tuple[int, EchelonDecomposition | None]:
     """Heavy half of the solve: elimination plus grouped column echelon.
 
     Returns (r, dec) with r the rank of the press-effect matrix; dec is
@@ -59,7 +57,7 @@ def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     return Solution(greedy_assign(dec)[1], dec)
 
 
-def solve_approx(inst: Instance) -> tuple[int, Optional[Solution]]:
+def solve_approx(inst: Instance) -> tuple[int, Solution | None]:
     """Feasibility check plus an approximate minimum press set.
 
     Returns (r, sol) with r the rank of the press-effect matrix; sol is

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .approx import solve_approx
 from .exact import exact_by_nullspace, exact_by_press_enumeration
@@ -31,7 +31,7 @@ DEFAULT_ORACLE_LIMIT = 12
 
 def check_instance(
     n: int, p: float, seed: int, oracle_limit: int
-) -> tuple[bool, Optional[float], float, list[str]]:
+) -> tuple[bool, float | None, float, list[str]]:
     """Solve one random instance and check it.
 
     Returns (feasible, sol/opt or None, solve seconds, violations); the
@@ -51,7 +51,7 @@ def check_instance(
         violations.append("feasibility")
     if sol.weight > dec.r:
         violations.append("rankBound")
-    if sol.weight > sol.bound_mixed:
+    if 2 * sol.weight > dec.bound_mixed_x2:
         violations.append("mixedBound")
     press = sol.press.bits
     for part in dec.parts[1:]:
@@ -108,7 +108,7 @@ def run_bench(
     feasible = sum(ok for ok, _, _, _ in checks)
     ratios = sorted(ratio for _, ratio, _, _ in checks if ratio is not None)
     times_ms = sorted(sec * 1000.0 for _, _, sec, _ in checks)
-    ratio_stats: Optional[dict] = None
+    ratio_stats: dict | None = None
     if ratios:
         ratio_stats = {
             "count": len(ratios),

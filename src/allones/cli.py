@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .approx import solve_approx
 from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench
@@ -59,6 +59,15 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _out_of_range(flag: str, value: int, low: int, high: int | None = None) -> str:
+    """The error for an integer flag outside [low, high], or ''.  The value
+    is clipped, so the reason at the end survives _fail's cut."""
+    shown = f"{flag} {_clip(str(value), 20)}"
+    if high is not None and value > high:
+        return f"{shown} exceeds {high}"
+    return f"{shown} is below {low}" if value < low else ""
+
+
 def _load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
@@ -79,10 +88,8 @@ def _parse_press(text: str, n: int) -> BitVec:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.exact_limit > NULLSPACE_LIMIT:
-        return _fail(f"--exact-limit {args.exact_limit} exceeds {NULLSPACE_LIMIT}")
-    if args.exact_limit < 0:
-        return _fail(f"--exact-limit {args.exact_limit} is below 0")
+    if bad := _out_of_range("--exact-limit", args.exact_limit, 0, NULLSPACE_LIMIT):
+        return _fail(bad)
     try:
         inst = _load_instance(args.file)
     except (OSError, ParseError, UnicodeDecodeError) as exc:
@@ -101,7 +108,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # the echelon form spans the same solution set, so its minimum
         # weight is opt
         sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.basis)[0])
-    mixed = sol.bound_mixed
+    t = dec.bound_mixed_x2  # (n + g1 - g0)/2 in lowest terms is num/den
+    num, den = (t, 2) if t % 2 else (t // 2, 1)
     payload: dict = {
         "feasible": True,
         "press": sol.press.indices(),
@@ -111,8 +119,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "g0": dec.g0,
         "g1": dec.g1,
         "boundRank": dec.r,
-        "boundMixedNumerator": mixed.numerator,
-        "boundMixedDenominator": mixed.denominator,
+        "boundMixedNumerator": num,
+        "boundMixedDenominator": den,
     }
     if sol.opt is not None:
         payload["opt"] = sol.opt
@@ -125,7 +133,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"sol: {sol.weight}")
         print(f"r: {dec.r} m: {dec.m} g0: {dec.g0} g1: {dec.g1}")
         print(f"bound(rank): {dec.r}")
-        print(f"bound(mixed): {mixed}")
+        print(f"bound(mixed): {num}/{den}" if den > 1 else f"bound(mixed): {num}")
         if sol.opt is not None:
             print(f"opt: {sol.opt} (gap {sol.weight - sol.opt})")
     return EXIT_OK
@@ -195,8 +203,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:
         return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
-    if args.trials < 1:
-        return _fail(f"--trials {args.trials} is below 1")
+    if bad := _out_of_range("--trials", args.trials, 1):
+        return _fail(bad)
     # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
     # holds n-bit masks: each instance costs about n squared, and every
     # size is drawn --trials times
@@ -205,10 +213,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"--sizes {_clip(args.sizes)!r} with --trials {_clip(str(args.trials), 20)}"
             f" has more than {GEN_LIMIT} vertices plus vertex pairs"
         )
-    if args.oracle_limit > PRESS_LIMIT:
-        return _fail(f"--oracle-limit {args.oracle_limit} exceeds {PRESS_LIMIT}")
-    if args.oracle_limit < 0:
-        return _fail(f"--oracle-limit {args.oracle_limit} is below 0")
+    if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):
+        return _fail(bad)
     report = run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
     if args.output == "json":
         print(json.dumps(report, indent=2))
@@ -273,7 +279,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     return args.func(args)
 

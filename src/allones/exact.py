@@ -10,8 +10,6 @@ order so each step is a single XOR plus a popcount.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .gf2 import BitMat, BitVec, EchelonDecomposition
 from .lamps import Instance
 
@@ -102,7 +100,7 @@ def _gray_walk(gamma: int, vecs: tuple[int, ...]) -> tuple[int, int]:
     return best_w, best_u
 
 
-def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> Optional[tuple[int, BitVec]]:
+def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> tuple[int, BitVec] | None:
     """Minimum-weight vector of the affine set gamma + span(null_basis rows).
 
     null_basis is m x n, one basis vector per row, as gf2.solve returns it
@@ -134,7 +132,7 @@ def exact_by_nullspace(gamma: BitVec, null_basis: BitMat) -> Optional[tuple[int,
     return opt, BitVec(gamma.n, argmin)
 
 
-def exact_by_press_enumeration(inst: Instance) -> Optional[tuple[int, BitVec]]:
+def exact_by_press_enumeration(inst: Instance) -> tuple[int, BitVec] | None:
     """Minimum press set by trying all 2**n press patterns.
 
     Pure toggle arithmetic, no linear algebra.  Returns (opt, argmin) with
@@ -149,7 +147,7 @@ def exact_by_press_enumeration(inst: Instance) -> Optional[tuple[int, BitVec]]:
     target = (1 << n) - 1
     state = inst.initially_on.bits
     press = 0
-    best: Optional[tuple[int, int]] = None
+    best: tuple[int, int] | None = None
     if state == target:
         best = (0, 0)
     for k in range(1, 1 << n):

@@ -29,7 +29,7 @@ parts are vertex masks, so no vertex is sorted or permuted.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 # _REV[x] is the byte x with its bit order reversed
 _REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
@@ -158,8 +158,8 @@ class EchelonDecomposition:
 
     Every solution agrees with gamma on part 0, so the decomposition
     certifies the bounds of any press set read from it: r = n - m is the
-    rank of the system, and g1/g0 count gamma's ones/zeros on part 0, the
-    forced presses/non-presses.
+    rank of the system, g1/g0 count gamma's ones/zeros on part 0, the
+    forced presses/non-presses, and 2 * weight <= n + g1 - g0.
     """
 
     __slots__ = ("basis", "parts", "gamma")
@@ -198,6 +198,11 @@ class EchelonDecomposition:
     @property
     def g0(self) -> int:
         return self.parts[0].bit_count() - self.g1
+
+    @property
+    def bound_mixed_x2(self) -> int:
+        """Twice the mixed bound: 2 * sol <= it."""
+        return self.n + self.g1 - self.g0
 
     def __repr__(self) -> str:
         sizes = [part.bit_count() for part in self.parts]
@@ -321,9 +326,7 @@ def _by_walk(basis: list[int], seeds: list[int]) -> list[int]:
     return [sols[x.bit_length()] | x for x in seeds]
 
 
-def solve(
-    a: BitMat, b: BitVec
-) -> tuple[int, Optional[tuple[BitVec, BitMat]]]:
+def solve(a: BitMat, b: BitVec) -> tuple[int, tuple[BitVec, BitMat] | None]:
     """Solve a.u = b over GF(2) with one elimination of [a | b].
 
     Returns (r, res): r is the rank of a; res is (gamma, null_basis) for a

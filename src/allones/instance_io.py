@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .gf2 import BitVec
 from .lamps import EdgeError, Instance, SwitchType
@@ -119,9 +119,7 @@ def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
     return tuple(map(_SWITCH_OF.__getitem__, text))
 
 
-def _edge_endpoints(
-    text: str, start: int, n: int
-) -> Optional[tuple[list[int], list[int]]]:
+def _edge_endpoints(text: str, start: int, n: int) -> tuple[list[int], list[int]] | None:
     """Both endpoint columns of the edge lines from start on, or None if
     some line there is not exactly 'e <i> <j>' or names a vertex >= n."""
     left: list[int] = []
@@ -145,7 +143,7 @@ def _edge_endpoints(
     return left, right
 
 
-def _parse_canonical(text: str) -> Optional[Instance]:
+def _parse_canonical(text: str) -> Instance | None:
     """The bulk path: the instance for canonical-layout text, or None."""
     header = _HEADER.match(text)
     if header is None:

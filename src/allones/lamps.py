@@ -9,10 +9,9 @@ a press set together with the decomposition behind its bounds.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from enum import Enum
-from fractions import Fraction
 from operator import index
-from typing import Iterable, Optional, Sequence, Tuple
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition
 
@@ -53,9 +52,9 @@ class Instance:
     def __init__(
         self,
         n: int,
-        edges: Iterable[Tuple[int, int]] = (),
-        switches: Optional[Sequence[SwitchType]] = None,
-        initially_on: Optional[BitVec] = None,
+        edges: Iterable[tuple[int, int]] = (),
+        switches: Sequence[SwitchType] | None = None,
+        initially_on: BitVec | None = None,
     ) -> None:
         try:
             n = index(n)
@@ -113,7 +112,7 @@ class Instance:
         right: list[int],
         switches: tuple[SwitchType, ...],
         initially_on: BitVec,
-    ) -> Optional["Instance"]:
+    ) -> Instance | None:
         """The instance on edges (left[k], right[k]), or None where
         __init__ would raise; it never raises.
 
@@ -181,7 +180,7 @@ class Instance:
 
 
 def _toggle_rows(
-    n: int, switches: Sequence[SwitchType], edges: Iterable[Tuple[int, int]]
+    n: int, switches: Sequence[SwitchType], edges: Iterable[tuple[int, int]]
 ) -> list[int]:
     """Toggle masks of a graph whose edges are given once each, in any
     orientation; a repeated edge leaves its bits as they were."""
@@ -197,15 +196,16 @@ def _toggle_rows(
 class Solution:
     """A feasible press set and the echelon decomposition it was read from.
 
-    The decomposition carries the data behind the two bounds: the rank r,
-    the corank m, and g0/g1, the forced non-presses/presses.  opt, when
-    present, is the exact minimum, and g1 <= opt <= weight must hold.
+    The decomposition carries the certificate, in integers: the weight is
+    at most its rank r, and twice the weight at most its bound_mixed_x2,
+    n + g1 - g0.  opt, when present, is the exact minimum, and
+    g1 <= opt <= weight must hold.
     """
 
     __slots__ = ("press", "decomposition", "opt")
 
     def __init__(
-        self, press: BitVec, decomposition: EchelonDecomposition, opt: Optional[int] = None
+        self, press: BitVec, decomposition: EchelonDecomposition, opt: int | None = None
     ) -> None:
         if opt is not None and not decomposition.g1 <= opt <= press.weight:
             raise ValueError(
@@ -218,12 +218,6 @@ class Solution:
     @property
     def weight(self) -> int:
         return self.press.weight
-
-    @property
-    def bound_mixed(self) -> Fraction:
-        """Guaranteed upper bound (n + g1 - g0)/2, kept exact."""
-        dec = self.decomposition
-        return Fraction(dec.n + dec.g1 - dec.g0, 2)
 
     def with_opt(self, opt: int) -> "Solution":
         """Attach an exact optimum (validates g1 <= opt <= weight)."""

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from fractions import Fraction
 
 from allones.approx import (
     decompose,
@@ -227,7 +226,7 @@ class TestComputeBounds:
     def test_counts_forced_rows(self):
         dec = _dec(3, [], 0b100)  # part 0 gammas (0,0,1)
         assert self._g0_g1(dec) == (2, 1)
-        assert solve_from_decomposition(dec).bound_mixed == Fraction(3 - 1, 2)
+        assert dec.bound_mixed_x2 == 3 + 1 - 2
 
     def test_solution_properties_expose_bounds(self):
         # 5x5 grid: the null space vanishes on five vertices whose forced
@@ -236,4 +235,4 @@ class TestComputeBounds:
         dec = sol.decomposition
         assert dec.r == 23
         assert (dec.g0, dec.g1) == (0, 5)
-        assert sol.bound_mixed == Fraction(30, 2)
+        assert dec.bound_mixed_x2 == 25 + 5 - 0

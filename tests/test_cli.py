@@ -90,6 +90,23 @@ class TestSolve:
         payload = json.loads(res.stdout)
         assert payload == {"feasible": False, "r": 0, "m": 1}
 
+    @pytest.mark.parametrize(
+        "text, bound, pair",
+        [
+            # n + g1 - g0 = 1 + 0 - 0: the bound is a half
+            ("allones 1\nswitches -\non 1\n", "1/2", [1, 2]),
+            # n + g1 - g0 = 25 + 5 - 0: the bound is whole
+            (render_instance(gen_grid(5, 5)), "15", [15, 1]),
+        ],
+        ids=["odd", "even"],
+    )
+    def test_mixed_bound_in_lowest_terms(self, tmp_path, text, bound, pair):
+        path = tmp_path / "inst.ao"
+        path.write_text(text)
+        assert f"bound(mixed): {bound}" in run_cli("solve", str(path)).stdout.splitlines()
+        payload = json.loads(run_cli("solve", str(path), "--output", "json").stdout)
+        assert [payload["boundMixedNumerator"], payload["boundMixedDenominator"]] == pair
+
     def test_exact_limit_above_walk_limit_is_rejected(self, k2_file):
         assert_clean_usage_error(run_cli("solve", k2_file, "--exact-limit", "25"))
         assert run_cli("solve", k2_file, "--exact-limit", "24").returncode == 0
@@ -477,6 +494,24 @@ class TestUsage:
         assert_clean_usage_error(res)
         assert len(res.stderr) < 200
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["solve", "FILE", "--exact-limit", "9" * 300], "exceeds 24"),
+            (["solve", "FILE", "--exact-limit", "-" + "9" * 300], "is below 0"),
+            (["bench", "--trials", "-" + "9" * 300], "is below 1"),
+            (["bench", "--oracle-limit", "9" * 300], "exceeds 20"),
+            (["bench", "--oracle-limit", "-" + "9" * 300], "is below 0"),
+        ],
+        ids=["exact-limit-high", "exact-limit-low", "trials-low", "oracle-high", "oracle-low"],
+    )
+    def test_long_flag_value_keeps_its_reason(self, k2_file, argv, reason):
+        # the value is clipped, not the reason after it
+        res = run_cli(*[k2_file if a == "FILE" else a for a in argv])
+        assert_clean_usage_error(res)
+        assert len(res.stderr) < 200
+        assert res.stderr.endswith(f"... {reason}\n")
+
     def test_short_values_are_echoed_whole(self, k2_file):
         assert run_cli("bench", "--sizes", "8,x").stderr == (
             "error: --sizes '8,x' is not a comma-separated integer list\n"
@@ -485,13 +520,19 @@ class TestUsage:
             "error: press vector '0,x' is not a comma-separated index list\n"
         )
 
-    def test_import_leaves_dataclasses_unloaded(self):
-        # dataclasses pulls inspect, ast, dis and tokenize in, which would
-        # add to the start of every allones call
-        code = "import sys, allones.cli; print('dataclasses' in sys.modules)"
+    def test_import_adds_no_heavy_stdlib_module(self):
+        # dataclasses pulls inspect, ast, dis and tokenize in, fractions
+        # pulls decimal: each would add to the start of every allones call.
+        # Only what the import itself adds counts, since site may preload
+        # typing before allones is imported
+        code = (
+            "import sys; before = set(sys.modules); import allones.cli; "
+            "print(sorted({'dataclasses', 'fractions', 'decimal', 'typing'}"
+            " & (set(sys.modules) - before)))"
+        )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "False\n"
+        assert res.stdout == "[]\n"
 
     def test_help_exits_zero(self):
         res = run_cli("solve", "-h")
