@@ -1,6 +1,6 @@
 """Approximate minimum press sets via the grouped-echelon greedy.
 
-The pipeline: build the GF(2) system, solve it, column-reduce the null
+The pipeline: solve the instance's GF(2) system, column-reduce the null
 basis and group the vertices by their last nonzero column, then fix one
 free coordinate per group by majority vote.  The returned press set u is
 guaranteed feasible with weight(u) <= r (system rank) and
@@ -12,7 +12,7 @@ which carries both bounds as ints: r and bound_mixed_x2 = n + g1 - g0.
 from __future__ import annotations
 
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
-from .lamps import Instance, Solution, build_system
+from .lamps import Instance, Solution
 
 
 def decompose(inst: Instance) -> tuple[int, EchelonDecomposition | None]:
@@ -22,8 +22,8 @@ def decompose(inst: Instance) -> tuple[int, EchelonDecomposition | None]:
     None iff the instance is infeasible.  dec can be reused to re-derive
     the press set cheaply (see solve_from_decomposition).
     """
-    a, b = build_system(inst)
-    r, res = solve(a, b)
+    # the rows are already in the elimination's layout: nothing is mirrored
+    r, res = solve(inst._packed_rows(), inst.n)
     if res is None:
         return r, None
     gamma, null_basis = res

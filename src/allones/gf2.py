@@ -11,15 +11,18 @@ is the k-th basis vector, packed over the n unknowns (the vertices).
 ``EchelonDecomposition`` stores it, so no stage transposes.
 
 Two elimination kernels live here, and each pays for its fill rather
-than for a scan of every row or column per pivot.  ``solve`` packs each
-row of [a | b] bit-mirrored, leading column in the top bit and b in bit
-0, and feeds the rows lightest first (ties to the highest row index),
-which changes only the fill, to ``_basis``; that keys its slots by
-``int.bit_length``, so every XOR shortens the row it clears.  Reading
-b as one more free column, ``solve`` back-substitutes the m + 1 systems
-(gamma's and one per free column) by ``_by_parity`` or ``_by_walk``,
-whichever takes fewer steps; both return the same mirrored solutions,
-and the reversal that packed the rows reads them out in vertex order.
+than for a scan of every row or column per pivot.  ``solve`` takes the
+rows of [a | b] packed bit-mirrored, leading column in the top bit and b
+in bit 0: ``lamps`` builds an instance's rows in this layout from
+``_column_bits`` and reads them back with ``_unmirror``, and a natural
+``BitMat`` is mirrored into it.  ``solve`` feeds the rows
+lightest first (ties to the highest row index), which changes only the
+fill, to ``_basis``; that keys its slots by ``int.bit_length``, so every
+XOR shortens the row it clears.  Reading b as one more free column, it
+back-substitutes the m + 1 systems (gamma's and one per free column) by
+``_by_parity`` or ``_by_walk``, whichever takes fewer steps; both return
+the same mirrored solutions, and ``_unmirror`` reads them out in vertex
+order.
 ``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
 list of each row's lowest set bit instead of a scan of the n columns;
 only ``column_echelon_grouped`` uses it, because the grouped echelon
@@ -212,7 +215,7 @@ class EchelonDecomposition:
 def _basis(rows: list[int], width: int) -> list[int]:
     """Forward elimination into a basis keyed by bit length.
 
-    Rows are bit-mirrored (``solve`` packs them): the leading column of a
+    Rows are bit-mirrored (see ``solve``): the leading column of a
     row is its highest set bit, so slot k of the result holds the row whose
     bit length is k (slot 0 stays 0; 0 marks an empty slot), and no row
     is longer than ``width`` bits.  Rows are popped off the end of
@@ -326,7 +329,27 @@ def _by_walk(basis: list[int], seeds: list[int]) -> list[int]:
     return [sols[x.bit_length()] | x for x in seeds]
 
 
-def solve(a: BitMat, b: BitVec) -> tuple[int, tuple[BitVec, BitMat] | None]:
+def _row_bytes(cols: int) -> int:
+    """Bytes per packed row of a system with cols unknowns: column c sits
+    at bit 8 * bytes - 1 - c and the right-hand side at bit 0."""
+    return cols // 8 + 1
+
+
+def _column_bits(cols: int) -> list[int]:
+    """Each column's bit in a packed row, column 0 first."""
+    top = 8 * _row_bytes(cols) - 1
+    return [1 << k for k in range(top, top - cols, -1)]
+
+
+def _unmirror(row: int, cols: int) -> int:
+    """A packed row's columns in natural order, column c at bit c.  The
+    right-hand side mirrors past them and is dropped."""
+    return _mirror(row, _row_bytes(cols)) & ((1 << cols) - 1)
+
+
+def solve(
+    a: BitMat | Sequence[int], b: BitVec | int
+) -> tuple[int, tuple[BitVec, BitMat] | None]:
     """Solve a.u = b over GF(2) with one elimination of [a | b].
 
     Returns (r, res): r is the rank of a; res is (gamma, null_basis) for a
@@ -338,12 +361,18 @@ def solve(a: BitMat, b: BitVec) -> tuple[int, tuple[BitVec, BitMat] | None]:
     elimination gives the same result.  A dimension mismatch raises
     ValueError; that is a contract violation, not infeasibility.
 
-    Inside, each row of [a | b] is bit-mirrored for ``_basis``: with
+    The elimination reads each row of [a | b] bit-mirrored: with
     L = cols // 8 + 1 bytes per row, column c sits at bit 8L-1-c and b at
     bit 0, so a row's leading column is its top bit and its bit length
-    names it.  b is never a pivot of a consistent system, so it is read
-    out like a free column: gamma's system is seeded with b's bit (the
-    constant one) and each null vector's with its free column's bit.
+    names it.  The system comes in one of two forms.  Given a ``BitMat``
+    a and a ``BitVec`` b, each row is mirrored into that layout.  Given
+    the rows already in it and the number of unknowns as b, the rows are
+    used as they are, and left as they were: ``lamps.Instance`` keeps its
+    system this way, so the solve path mirrors no row on the way in.  b
+    is never a pivot of a consistent system, so it is read out like a
+    free column: gamma's system is seeded with b's bit (the constant one)
+    and each null vector's with its free column's bit, and the m + 1
+    solutions are mirrored back once, at the end.
 
     Back-substitution takes one of two routes, both exact.  By parity,
     each of the m + 1 systems costs one AND and one popcount per pivot
@@ -354,21 +383,23 @@ def solve(a: BitMat, b: BitVec) -> tuple[int, tuple[BitVec, BitMat] | None]:
     of full rank, where it costs one pass; sparse systems with many free
     columns, such as random trees, walk.
     """
-    if a.rows != b.n:
-        raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
-    cols = a.cols
-    nbytes = cols // 8 + 1
-    width = 8 * nbytes
-    flags = format(b.bits, f"0{b.n}b")[::-1]
-    # b (a bool) is bit 0
-    rows = [_mirror(row, nbytes) | (f == "1") for f, row in zip(flags, a.packed_rows)]
+    if isinstance(a, BitMat):
+        if a.rows != b.n:
+            raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
+        nbytes = _row_bytes(a.cols)
+        flags = format(b.bits, f"0{b.n}b")[::-1]
+        # b (a bool) is bit 0
+        rows = [_mirror(row, nbytes) | (f == "1") for f, row in zip(flags, a.packed_rows)]
+        cols = a.cols
+    else:
+        rows, cols = a, b
+    width = 8 * _row_bytes(cols)
     # _basis pops from the end, so it meets the lightest rows first, ties
     # to the highest index (a reverse sort stays stable): light rows carry
     # few bits into their slots, and on a banded system such as a grid the
     # reversed order fills far less than the natural one.  The order
     # changes only the fill, never the RREF read off below
-    rows.sort(key=int.bit_count, reverse=True)
-    basis = _basis(rows, width)
+    basis = _basis(sorted(rows, key=int.bit_count, reverse=True), width)
     # slot width - c holds column c's pivot row; b's seed comes first
     seeds = [1] + [1 << (width - 1 - c) for c in range(cols) if not basis[width - c]]
     m = len(seeds) - 1
@@ -377,9 +408,8 @@ def solve(a: BitMat, b: BitVec) -> tuple[int, tuple[BitVec, BitMat] | None]:
     if basis[1]:
         return r, None
     route = _by_parity if (m + 2) * r <= sum(map(int.bit_count, basis)) else _by_walk
-    sols = [_mirror(x, nbytes) for x in route(basis, seeds)]
-    # gamma's seed un-mirrors to bit width-1, past its columns
-    return r, (BitVec(cols, sols[0] & ((1 << cols) - 1)), BitMat(m, cols, sols[1:]))
+    sols = [_unmirror(x, cols) for x in route(basis, seeds)]
+    return r, (BitVec(cols, sols[0]), BitMat(m, cols, sols[1:]))
 
 
 def column_echelon_grouped(

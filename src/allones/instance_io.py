@@ -17,9 +17,10 @@ digits without leading zeros, and every line ending in '\n'.  Regular
 expressions admit such text slab by slab; each slab is split into tokens,
 and a lookup turns them into vertex numbers, turning away any number >= n.
 The bulk path makes no edge tuples and sorts nothing: it builds each
-vertex's toggle mask, the row of the press-effect matrix, directly, and
-one popcount over the masks turns away self-loops and repeated edges.  The
-Instance derives its sorted edges from the masks only when they are read.
+vertex's row of the linear system directly, in the bit-mirrored layout
+the elimination reads, and one popcount over the rows turns away
+self-loops and repeated edges.  The Instance derives its sorted edges
+from the rows only when they are read.
 Any other text, and any text the bulk path finds a fault in, goes to the
 line-by-line parser.  So every other valid layout (comments, blank lines,
 CRLF, tabs, extra spaces, a missing final newline) parses to the same
@@ -93,8 +94,8 @@ def _clip(text: str, width: int = 40) -> str:
 _SWITCH_OF = {s.value: s for s in SwitchType}
 
 # most vertices an instance read from text may have: each vertex gets an
-# n-bit toggle mask, so memory grows as n squared whatever the edge count;
-# `allones solve` of a path, tree or grid this size peaks at 136-188 MiB RSS
+# n-bit row, so memory grows as n squared whatever the edge count;
+# `allones solve` of a path, tree or grid this size peaks at 134-180 MiB RSS
 VERTEX_LIMIT = 30_000
 
 # The layout render_instance writes, with edges in any order: the header

@@ -5,15 +5,24 @@ Pressing a SIGMA_PLUS button toggles the vertex's own lamp and all of its
 neighbors' lamps; a SIGMA button toggles the neighbors' lamps only.  The
 goal is a press set that leaves every lamp on.  ``Solution`` holds such
 a press set together with the decomposition behind its bounds.
+
+The instance's linear system A.u = B has one row per vertex v: the
+vertices v's button toggles, and whether lamp v is off.  Its rows are
+packed in the layout ``gf2.solve``'s elimination reads (``gf2`` owns
+it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
+bit 0), so the solve path uses them as they are; ``edges``,
+``simulate_presses`` and, on a parsed instance, ``toggle_masks`` read
+them back in vertex order with ``_unmirror``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
+from itertools import repeat
 from operator import index
 
-from .gf2 import BitMat, BitVec, EchelonDecomposition
+from .gf2 import BitMat, BitVec, EchelonDecomposition, _column_bits, _unmirror
 
 
 class SwitchType(Enum):
@@ -42,12 +51,15 @@ class Instance:
     self-loops, duplicate edges and out-of-range endpoints are rejected
     with an EdgeError naming the first bad edge in input order.
 
-    The constructor keeps the edge tuple, O(edges) space.  The bulk parse
-    path keeps the toggle masks instead, the rows of the press-effect
-    matrix, and derives ``edges`` from them on first use.
+    The constructor keeps the edge tuple, O(edges) space, and packs the
+    system's rows (see the module docstring) each time they are read.  The
+    bulk parse path keeps the packed rows instead and derives ``edges``
+    from them on first use.  Either way an instance holds one layout of
+    the rows at most; ``toggle_masks`` builds the vertex-order masks from
+    the edges when it holds none.
     """
 
-    __slots__ = ("n", "switches", "initially_on", "_edges", "_masks")
+    __slots__ = ("n", "switches", "initially_on", "_edges", "_rows")
 
     def __init__(
         self,
@@ -100,7 +112,7 @@ class Instance:
         # sorting the list, not the set, keeps an already sorted input cheap
         canon.sort()
         self._edges = tuple(canon)
-        self._masks = None
+        self._rows = None
         self.switches = switches
         self.initially_on = initially_on
 
@@ -118,19 +130,21 @@ class Instance:
 
         Every endpoint must already be an int in range(n), as the bulk
         parser's vertex lookup guarantees, and switches and initially_on
-        must hold n entries.  The graph is kept as toggle masks, built
-        straight from the endpoints, and one popcount over them finds the
-        other faults: a new edge sets exactly two new bits, a repeated
-        edge, in either orientation, none, and a self-loop at most one.
+        must hold n entries.  The graph is kept as the system's packed
+        rows, built straight from the endpoints, and one popcount over them
+        finds the other faults: a new edge sets exactly two new bits, a
+        repeated edge, in either orientation, none, and a self-loop at most
+        one.
         """
-        masks = _toggle_rows(n, switches, zip(left, right))
+        rows = _packed_system(n, switches, initially_on, zip(left, right))
         plus = switches.count(SwitchType.SIGMA_PLUS)
-        if sum(map(int.bit_count, masks)) != 2 * len(left) + plus:
+        off = n - initially_on.weight
+        if sum(map(int.bit_count, rows)) != 2 * len(left) + plus + off:
             return None
         self = cls.__new__(cls)
         self.n = n
         self._edges = None
-        self._masks = tuple(masks)
+        self._rows = tuple(rows)
         self.switches = switches
         self.initially_on = initially_on
         return self
@@ -140,9 +154,9 @@ class Instance:
         """The edges as a sorted tuple of (min, max) pairs."""
         if self._edges is None:
             edges = []
-            for i, row in enumerate(self._masks):
-                # row i's bits above i, lowest first: (i, j) in sorted order
-                row >>= i + 1
+            for i, row in enumerate(self._rows):
+                # row i's vertices above i, lowest first: (i, j) in sorted order
+                row = _unmirror(row, self.n) >> (i + 1)
                 while row:
                     low = row & -row
                     edges.append((i, i + low.bit_length()))
@@ -150,14 +164,25 @@ class Instance:
             self._edges = tuple(edges)
         return self._edges
 
+    def _packed_rows(self) -> tuple[int, ...]:
+        """The rows of [A | B] in the layout ``gf2.solve`` eliminates:
+        row v holds vertex w's bit when v's button toggles lamp w, and
+        bit 0 when lamp v is off."""
+        if self._rows is not None:
+            return self._rows
+        return tuple(_packed_system(self.n, self.switches, self.initially_on, self.edges))
+
     def toggle_masks(self) -> tuple[int, ...]:
         """Packed per-vertex toggle sets: neighbors, plus self for SIGMA_PLUS.
 
-        mask[v] is also row v of the press-effect matrix.
+        mask[v] is also row v of the press-effect matrix.  The masks are
+        built from the edges, or read out of the packed rows where the
+        instance holds them, on every call.
         """
-        if self._masks is not None:
-            return self._masks
-        return tuple(_toggle_rows(self.n, self.switches, self.edges))
+        if self._rows is None:
+            bit = [1 << v for v in range(self.n)]
+            return tuple(_toggle_rows(bit, self.switches, repeat(0), self.edges))
+        return tuple(_unmirror(row, self.n) for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -180,17 +205,33 @@ class Instance:
 
 
 def _toggle_rows(
-    n: int, switches: Sequence[SwitchType], edges: Iterable[tuple[int, int]]
+    bit: Sequence[int],
+    switches: Sequence[SwitchType],
+    flags: Iterable[int],
+    edges: Iterable[tuple[int, int]],
 ) -> list[int]:
-    """Toggle masks of a graph whose edges are given once each, in any
+    """Per vertex v, with vertex w at bit[w]: the vertices v's button
+    toggles, ORed with v's flag.  Each edge is given once, in any
     orientation; a repeated edge leaves its bits as they were."""
     plus = SwitchType.SIGMA_PLUS
-    bit = [1 << v for v in range(n)]
-    masks = [b if s is plus else 0 for b, s in zip(bit, switches)]
+    # a row with no flag starts as its table entry: b | 0 would copy a wide int
+    rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, flags)]
     for i, j in edges:
-        masks[i] |= bit[j]
-        masks[j] |= bit[i]
-    return masks
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    return rows
+
+
+def _packed_system(
+    n: int,
+    switches: Sequence[SwitchType],
+    initially_on: BitVec,
+    edges: Iterable[tuple[int, int]],
+) -> list[int]:
+    """The system's packed rows (see ``Instance._packed_rows``): the lamp-off
+    flag is bit 0."""
+    off = (int(lamp == "0") for lamp in initially_on.to01())
+    return _toggle_rows(_column_bits(n), switches, off, edges)
 
 
 class Solution:
@@ -230,7 +271,8 @@ def build_system(inst: Instance) -> tuple[BitMat, BitVec]:
     A is the adjacency matrix with a unit diagonal entry exactly at the
     SIGMA_PLUS vertices; B flags the lamps that still have to flip, i.e.
     the complement of initially_on.  A press vector u lights every lamp
-    iff A.u = B.
+    iff A.u = B.  Both are in vertex order, for API callers;
+    ``approx.decompose`` hands ``gf2.solve`` the packed rows instead.
     """
     masks = inst.toggle_masks()
     a = BitMat(inst.n, inst.n, masks)
@@ -242,14 +284,14 @@ def simulate_presses(inst: Instance, press: BitVec) -> BitVec:
     """Final lamp states after pressing the flagged buttons (order-free)."""
     if press.n != inst.n:
         raise ValueError(f"press vector length {press.n}, expected {inst.n}")
-    masks = inst.toggle_masks()
-    state = inst.initially_on.bits
+    rows = inst._packed_rows()
+    toggled = 0
     pb = press.bits
     while pb:
         low = pb & -pb
-        state ^= masks[low.bit_length() - 1]
+        toggled ^= rows[low.bit_length() - 1]
         pb ^= low
-    return BitVec(inst.n, state)
+    return BitVec(inst.n, inst.initially_on.bits ^ _unmirror(toggled, inst.n))
 
 
 def is_all_on(state: BitVec) -> bool:

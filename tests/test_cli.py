@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from allones import approx, bench, cli, gf2, instance_io, lamps
-from allones.instance_io import gen_complete, gen_grid, render_instance
+from allones.instance_io import gen_complete, gen_grid, gen_random_tree, render_instance
 
 FEASIBLE_KEYS = {
     "feasible",
@@ -140,6 +140,33 @@ class TestSolve:
         # the feasible case (m = 1) also ran the exact walk
         assert ("opt" in json.loads(capsys.readouterr().out)) == (code == 0)
         assert calls == {"solve": 1, "basis": 1, "eliminate": kernel_calls - 1}
+
+    def test_solve_path_mirrors_only_the_read_out(self, tmp_path, monkeypatch, capsys):
+        # the parse builds the rows in the layout the elimination reads, so
+        # the only mirrors are the m + 1 solutions read out in vertex order
+        path = tmp_path / "tree.ao"
+        path.write_text(render_instance(gen_random_tree(300, 0)))
+        mirrors = []
+
+        def spy(x, nbytes):
+            mirrors.append(nbytes)
+            return mirror(x, nbytes)
+
+        def packed_only(a, b):
+            # a natural BitMat would be mirrored row by row
+            assert not isinstance(a, gf2.BitMat), "the solve path built the natural system"
+            return solve(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve path read the rows in vertex order")
+
+        mirror, solve = gf2._mirror, approx.solve
+        monkeypatch.setattr(gf2, "_mirror", spy)
+        monkeypatch.setattr(approx, "solve", packed_only)
+        monkeypatch.setattr(lamps.Instance, "toggle_masks", refuse)
+        assert cli.main(["solve", str(path), "--output", "json"]) == 0
+        m = json.loads(capsys.readouterr().out)["m"]
+        assert m > 0 and len(mirrors) <= m + 1
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ao"

@@ -298,11 +298,11 @@ class TestTwoForms:
     def test_bulk_path_keeps_masks_and_derives_edges(self):
         inst = gen_random_mixed(30, 0.5, seed=17)
         parsed = _parse_canonical(render_instance(inst))
-        assert parsed._edges is None and parsed._masks is not None
+        assert parsed._edges is None and parsed._rows is not None
         assert hash(parsed) == hash(inst)
         assert parsed._edges == inst.edges
         # the constructor keeps the edges only
-        assert inst._masks is None
+        assert inst._rows is None
 
 
 class TestGenerators:

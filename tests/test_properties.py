@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allones.gf2 import BitVec
+from allones import gf2
+from allones.approx import decompose
+from allones.gf2 import BitVec, _mirror, _row_bytes, column_echelon_grouped
 from allones.instance_io import (
     ParseError,
     _parse_canonical,
@@ -19,7 +21,7 @@ from allones.instance_io import (
     parse_instance,
     render_instance,
 )
-from allones.lamps import Instance, SwitchType
+from allones.lamps import Instance, SwitchType, build_system
 
 
 @st.composite
@@ -199,3 +201,35 @@ def test_bulk_path_agrees_with_line_parser(inst, data):
         assert parse_instance(text) == expected
         assert (bulk is not None) == canonical
         assert bulk is None or bulk == expected
+
+
+@settings(deadline=None)
+@given(GENERATED, st.data())
+def test_packed_rows_match_the_natural_system(base, data):
+    """The parse and the constructor build the same packed rows, the rows
+    are the mirrored natural system, and decompose on them answers as
+    gf2.solve does on build_system."""
+    n = base.n
+    switches = data.draw(st.lists(st.sampled_from(SwitchType), min_size=n, max_size=n))
+    on = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))
+    inst = Instance(n, base.edges, switches, on)
+    parsed = _parse_canonical(render_instance(inst))
+    assert parsed is not None and parsed._rows is not None and inst._rows is None
+    rows = parsed._packed_rows()
+    assert inst._packed_rows() == rows
+    # the natural masks, from the edges alone
+    masks = [1 << v if s is SwitchType.SIGMA_PLUS else 0 for v, s in enumerate(switches)]
+    for i, j in base.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    nbytes = _row_bytes(n)
+    assert rows == tuple(_mirror(mask, nbytes) | (not on[v]) for v, mask in enumerate(masks))
+    assert parsed.toggle_masks() == inst.toggle_masks() == tuple(masks)
+    r, res = gf2.solve(*build_system(inst))
+    for got_r, dec in (decompose(inst), decompose(parsed)):
+        assert got_r == r
+        if res is None:
+            assert dec is None
+        else:
+            want = column_echelon_grouped(res[1], res[0])
+            assert (dec.gamma, dec.basis, dec.parts) == (want.gamma, want.basis, want.parts)
