@@ -7,7 +7,7 @@ press set whose size is provably at most min(r, (n + opt)/2), where r is
 the rank of the press-effect matrix and opt the true minimum.
 """
 
-from .approx import decompose, solve_approx, solve_from_decomposition
+from .approx import solve_approx, solve_from_decomposition
 from .exact import exact_by_nullspace, exact_by_press_enumeration
 from .gf2 import BitMat, BitVec, solve
 from .instance_io import (
@@ -40,7 +40,6 @@ __all__ = [
     "Solution",
     "SwitchType",
     "build_system",
-    "decompose",
     "exact_by_nullspace",
     "exact_by_press_enumeration",
     "gen_complete",

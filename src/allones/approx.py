@@ -7,27 +7,15 @@ guaranteed feasible with weight(u) <= r (system rank) and
 2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.  It comes
 back as a ``lamps.Solution`` that holds u and the echelon decomposition,
 which carries both bounds as ints: r and bound_mixed_x2 = n + g1 - g0.
+``solve_approx`` runs every stage; ``solve_from_decomposition`` re-runs
+the greedy alone on the sol.decomposition it returned, without a second
+elimination.
 """
 
 from __future__ import annotations
 
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
 from .lamps import Instance, Solution
-
-
-def decompose(inst: Instance) -> tuple[int, EchelonDecomposition | None]:
-    """Heavy half of the solve: elimination plus grouped column echelon.
-
-    Returns (r, dec) with r the rank of the press-effect matrix; dec is
-    None iff the instance is infeasible.  dec can be reused to re-derive
-    the press set cheaply (see solve_from_decomposition).
-    """
-    # the rows are already in the elimination's layout: nothing is mirrored
-    r, res = solve(inst._packed_rows(), inst.n)
-    if res is None:
-        return r, None
-    gamma, null_basis = res
-    return r, column_echelon_grouped(null_basis, gamma)
 
 
 def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
@@ -63,8 +51,13 @@ def solve_approx(inst: Instance) -> tuple[int, Solution | None]:
     Returns (r, sol) with r the rank of the press-effect matrix; sol is
     None iff the instance has no solution at all.  Otherwise
     sol.decomposition is the decomposition the press set was read from,
-    which carries m, g0 and g1 (so sol.decomposition.r == r); opt is left
+    which carries m, g0 and g1 (so sol.decomposition.r == r) and re-derives
+    the press set cheaply (see solve_from_decomposition); opt is left
     unset (see the exact module for oracles that can fill it in).
     """
-    r, dec = decompose(inst)
-    return r, None if dec is None else solve_from_decomposition(dec)
+    # the rows are already in the elimination's layout: nothing is mirrored
+    r, res = solve(inst._packed_rows(), inst.n)
+    if res is None:
+        return r, None
+    gamma, null_basis = res
+    return r, solve_from_decomposition(column_echelon_grouped(null_basis, gamma))

@@ -84,6 +84,10 @@ def _parse_press(text: str, n: int) -> BitVec:
         raise ValueError(f"press vector {_clip(text)!r} is not a comma-separated index list")
     if len(set(indices)) != len(indices):
         raise ValueError(f"press vector {_clip(text)!r} repeats an index")
+    for i in indices:
+        if not 0 <= i < n:
+            # clipped, so the reason at the end survives _fail's cut
+            raise ValueError(f"index {_clip(str(i), 20)} out of range for length {n}")
     return BitVec.from_indices(n, indices)
 
 

@@ -11,7 +11,7 @@ order so each step is a single XOR plus a popcount.
 from __future__ import annotations
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition
-from .lamps import Instance
+from .lamps import Instance, build_system
 
 NULLSPACE_LIMIT = 24
 PRESS_LIMIT = 20
@@ -143,7 +143,7 @@ def exact_by_press_enumeration(inst: Instance) -> tuple[int, BitVec] | None:
     n = inst.n
     if n > PRESS_LIMIT:
         raise ValueError(f"{n} vertices exceed the press enumeration limit {PRESS_LIMIT}")
-    masks = inst.toggle_masks()
+    masks = build_system(inst)[0].packed_rows
     target = (1 << n) - 1
     state = inst.initially_on.bits
     press = 0

@@ -11,7 +11,7 @@ vertices v's button toggles, and whether lamp v is off.  Its rows are
 packed in the layout ``gf2.solve``'s elimination reads (``gf2`` owns
 it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
 bit 0), so the solve path uses them as they are; ``edges``,
-``simulate_presses`` and, on a parsed instance, ``toggle_masks`` read
+``simulate_presses`` and, on a parsed instance, ``build_system`` read
 them back in vertex order with ``_unmirror``.
 """
 
@@ -55,7 +55,7 @@ class Instance:
     system's rows (see the module docstring) each time they are read.  The
     bulk parse path keeps the packed rows instead and derives ``edges``
     from them on first use.  Either way an instance holds one layout of
-    the rows at most; ``toggle_masks`` builds the vertex-order masks from
+    the rows at most; ``build_system`` builds the vertex-order rows from
     the edges when it holds none.
     """
 
@@ -172,18 +172,6 @@ class Instance:
             return self._rows
         return tuple(_packed_system(self.n, self.switches, self.initially_on, self.edges))
 
-    def toggle_masks(self) -> tuple[int, ...]:
-        """Packed per-vertex toggle sets: neighbors, plus self for SIGMA_PLUS.
-
-        mask[v] is also row v of the press-effect matrix.  The masks are
-        built from the edges, or read out of the packed rows where the
-        instance holds them, on every call.
-        """
-        if self._rows is None:
-            bit = [1 << v for v in range(self.n)]
-            return tuple(_toggle_rows(bit, self.switches, repeat(0), self.edges))
-        return tuple(_unmirror(row, self.n) for row in self._rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Instance)
@@ -269,15 +257,21 @@ def build_system(inst: Instance) -> tuple[BitMat, BitVec]:
     """Press-effect matrix A and target vector B for an instance.
 
     A is the adjacency matrix with a unit diagonal entry exactly at the
-    SIGMA_PLUS vertices; B flags the lamps that still have to flip, i.e.
-    the complement of initially_on.  A press vector u lights every lamp
-    iff A.u = B.  Both are in vertex order, for API callers;
-    ``approx.decompose`` hands ``gf2.solve`` the packed rows instead.
+    SIGMA_PLUS vertices: row v is the set of lamps v's button toggles.  B
+    flags the lamps that still have to flip, i.e. the complement of
+    initially_on.  A press vector u lights every lamp iff A.u = B.  Both
+    are in vertex order, for API callers; ``approx.solve_approx`` hands
+    ``gf2.solve`` the packed rows instead.  A is built from the edges, or
+    read out of the packed rows where the instance holds them, on every
+    call.
     """
-    masks = inst.toggle_masks()
-    a = BitMat(inst.n, inst.n, masks)
-    b = BitVec(inst.n, ~inst.initially_on.bits & ((1 << inst.n) - 1))
-    return a, b
+    n = inst.n
+    if inst._rows is None:
+        bit = [1 << v for v in range(n)]
+        masks = _toggle_rows(bit, inst.switches, repeat(0), inst.edges)
+    else:
+        masks = [_unmirror(row, n) for row in inst._rows]
+    return BitMat(n, n, masks), BitVec(n, ~inst.initially_on.bits & ((1 << n) - 1))
 
 
 def simulate_presses(inst: Instance, press: BitVec) -> BitVec:

@@ -3,12 +3,7 @@
 import hashlib
 import random
 
-from allones.approx import (
-    decompose,
-    greedy_assign,
-    solve_approx,
-    solve_from_decomposition,
-)
+from allones.approx import greedy_assign, solve_approx, solve_from_decomposition
 from allones.exact import exact_by_press_enumeration
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition
 from allones.instance_io import (
@@ -198,10 +193,11 @@ class TestSolveApprox:
         feasible = 0
         for _ in range(400):
             inst = random_instance(rnd, max_n=32)
-            _, dec = decompose(inst)
-            if dec is None:
+            _, full = solve_approx(inst)
+            if full is None:
                 continue
             feasible += 1
+            dec = full.decomposition
             sol = solve_from_decomposition(dec)
             a, b = build_system(inst)
             assert mat_vec(a, sol.press) == b

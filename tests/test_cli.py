@@ -157,13 +157,9 @@ class TestSolve:
             assert not isinstance(a, gf2.BitMat), "the solve path built the natural system"
             return solve(a, b)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the solve path read the rows in vertex order")
-
         mirror, solve = gf2._mirror, approx.solve
         monkeypatch.setattr(gf2, "_mirror", spy)
         monkeypatch.setattr(approx, "solve", packed_only)
-        monkeypatch.setattr(lamps.Instance, "toggle_masks", refuse)
         assert cli.main(["solve", str(path), "--output", "json"]) == 0
         m = json.loads(capsys.readouterr().out)["m"]
         assert m > 0 and len(mirrors) <= m + 1
@@ -529,8 +525,11 @@ class TestUsage:
             (["bench", "--trials", "-" + "9" * 300], "is below 1"),
             (["bench", "--oracle-limit", "9" * 300], "exceeds 20"),
             (["bench", "--oracle-limit", "-" + "9" * 300], "is below 0"),
+            (["verify", "FILE", "9" * 300], "out of range for length 2"),
+            (["verify", "FILE", "0," + "9" * 300], "out of range for length 2"),
         ],
-        ids=["exact-limit-high", "exact-limit-low", "trials-low", "oracle-high", "oracle-low"],
+        ids=["exact-limit-high", "exact-limit-low", "trials-low", "oracle-high", "oracle-low",
+             "press-index", "press-index-after-0"],
     )
     def test_long_flag_value_keeps_its_reason(self, k2_file, argv, reason):
         # the value is clipped, not the reason after it

@@ -7,7 +7,7 @@ import pytest
 import numpy as np
 import oracles
 from allones import exact
-from allones.approx import decompose
+from allones.approx import solve_approx
 from allones.exact import exact_by_nullspace, exact_by_press_enumeration
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, solve
 from allones.instance_io import gen_complete, gen_grid, gen_random_mixed, gen_random_tree
@@ -166,7 +166,7 @@ def test_trees_take_the_dp_and_match_the_walk(branch, m):
     n, seed = TREES[m]
     inst = gen_random_tree(n, seed)
     a, b = build_system(inst)
-    _, dec = decompose(inst)
+    dec = solve_approx(inst)[1].decomposition
     assert dec.m == m
     res, taken = branch(dec.gamma, dec.basis)
     assert taken == "_part_dp"
@@ -187,7 +187,7 @@ def test_mixed_systems_agree_on_both_branches():
         _, lin = solve(a, b)
         if lin is None:
             continue
-        _, dec = decompose(inst)
+        dec = solve_approx(inst)[1].decomposition
         for gamma, basis in (lin, (dec.gamma, dec.basis)):
             res = by_walk(gamma, basis)
             assert by_dp(gamma, basis) == res
@@ -201,7 +201,7 @@ def test_mixed_systems_agree_on_both_branches():
 @pytest.mark.parametrize("side", [9, 19])
 def test_all_plus_grids_take_the_walk(branch, side):
     inst = gen_grid(side, side)
-    _, dec = decompose(inst)
+    dec = solve_approx(inst)[1].decomposition
     res, taken = branch(dec.gamma, dec.basis)
     assert taken == "_gray_walk"
     assert res == by_dp(dec.gamma, dec.basis)

@@ -16,7 +16,6 @@ from allones import (
     simulate_presses,
     solve_approx,
 )
-from allones.approx import decompose
 from allones.exact import NULLSPACE_LIMIT, _live_masks, _part_dp
 from oracles import forest_min_press
 
@@ -103,7 +102,7 @@ def test_part_dp_agrees_past_the_walk_limit():
     # returns None, so the DP is called on the decomposition directly
     for seed in range(40):
         inst = gen_random_tree(1000, seed)
-        _, dec = decompose(inst)
+        dec = solve_approx(inst)[1].decomposition
         assert dec.m > NULLSPACE_LIMIT
         vecs = dec.basis.packed_rows
         opt, argmin = _part_dp(dec.gamma.bits, vecs, dec.parts, _live_masks(vecs, dec.parts))

@@ -23,7 +23,7 @@ from allones.instance_io import (
     parse_switch_string,
     render_instance,
 )
-from allones.lamps import Instance, SwitchType, simulate_presses
+from allones.lamps import Instance, SwitchType, build_system, simulate_presses
 from helpers import random_instance
 
 K2_TEXT = "allones 2\nswitches ++\non 00\ne 0 1\n"
@@ -268,7 +268,7 @@ FAMILIES = _families()
 
 
 class TestTwoForms:
-    """An Instance built from edges and one parsed from text (toggle masks,
+    """An Instance built from edges and one parsed from text (packed rows,
     edges derived from them) are the same value."""
 
     @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
@@ -282,11 +282,11 @@ class TestTwoForms:
         elif order == "shuffled":
             random.Random(15).shuffle(edge_lines)
         parsed = parse_instance("".join(head + edge_lines))
-        masks = parsed.toggle_masks()
-        assert masks == inst.toggle_masks()
+        system = build_system(parsed)
+        assert system == build_system(inst)
         assert parsed.edges == inst.edges
-        # deriving the edges leaves the masks alone
-        assert parsed.toggle_masks() == masks
+        # deriving the edges leaves the rows alone
+        assert build_system(parsed) == system
         assert parsed == inst and inst == parsed
         assert hash(parsed) == hash(inst)
         assert repr(parsed) == repr(inst)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allones import gf2
-from allones.approx import decompose
+from allones.approx import solve_approx
 from allones.gf2 import BitVec, _mirror, _row_bytes, column_echelon_grouped
 from allones.instance_io import (
     ParseError,
@@ -207,8 +207,8 @@ def test_bulk_path_agrees_with_line_parser(inst, data):
 @given(GENERATED, st.data())
 def test_packed_rows_match_the_natural_system(base, data):
     """The parse and the constructor build the same packed rows, the rows
-    are the mirrored natural system, and decompose on them answers as
-    gf2.solve does on build_system."""
+    are the mirrored natural system, and solve_approx on them decomposes
+    as gf2.solve does on build_system."""
     n = base.n
     switches = data.draw(st.lists(st.sampled_from(SwitchType), min_size=n, max_size=n))
     on = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)))
@@ -224,12 +224,14 @@ def test_packed_rows_match_the_natural_system(base, data):
         masks[j] |= 1 << i
     nbytes = _row_bytes(n)
     assert rows == tuple(_mirror(mask, nbytes) | (not on[v]) for v, mask in enumerate(masks))
-    assert parsed.toggle_masks() == inst.toggle_masks() == tuple(masks)
-    r, res = gf2.solve(*build_system(inst))
-    for got_r, dec in (decompose(inst), decompose(parsed)):
+    system = build_system(inst)
+    assert build_system(parsed) == system and system[0].packed_rows == tuple(masks)
+    r, res = gf2.solve(*system)
+    for got_r, sol in (solve_approx(inst), solve_approx(parsed)):
         assert got_r == r
         if res is None:
-            assert dec is None
+            assert sol is None
         else:
+            dec = sol.decomposition
             want = column_echelon_grouped(res[1], res[0])
             assert (dec.gamma, dec.basis, dec.parts) == (want.gamma, want.basis, want.parts)
