@@ -13,9 +13,12 @@ canonical sorted order, so parse(render(x)) == x.
 Text in the layout rendering writes takes a bulk path, with the edges in
 any order and either endpoint first: the three header lines with single
 spaces, then only lines that are exactly 'e <i> <j>', endpoints in ASCII
-digits without leading zeros, and every line ending in '\n'.  Regular
-expressions admit such text slab by slab; each slab is split into tokens,
-and a lookup turns them into vertex numbers, turning away any number >= n.
+digits without leading zeros, and every line ending in '\n'.  A regular
+expression admits the header; no regular expression reads the edge
+lines.  They are encoded as ASCII slab by slab; a slab is admitted when,
+with its digits deleted, it reads 'e  \n' once per line and its tokens
+are three per line with 'e' first.  A lookup turns the endpoint tokens
+into vertex numbers, turning away a leading zero and any number >= n.
 The bulk path makes no edge tuples and sorts nothing: it builds each
 vertex's row of the linear system directly, in the bit-mirrored layout
 the elimination reads, and one popcount over the rows turns away
@@ -32,7 +35,6 @@ before building anything n-sized.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from collections.abc import Iterator
 
 from .gf2 import BitVec
@@ -98,17 +100,18 @@ _SWITCH_OF = {s.value: s for s in SwitchType}
 # `allones solve` of a path, tree or grid this size peaks at 134-180 MiB RSS
 VERTEX_LIMIT = 30_000
 
-# The layout render_instance writes, with edges in any order: the header
-# (n, the switch string and the state string are groups 1-3), then lines
-# that are each exactly 'e <i> <j>'; _edge_endpoints turns away endpoints
-# with leading zeros
+# The header render_instance writes: n, the switch string and the state
+# string are groups 1-3.  The edge lines after it, in any order, are each
+# exactly 'e <i> <j>'; _edge_endpoints checks them without a regex
 _HEADER = re.compile(r"allones ([1-9][0-9]*)\nswitches ([+-]+)\non ([01]+)\n")
-_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
 
-# characters of edge lines matched and split at a time; a match keeps
-# state for every line it has read, and a split a token for every number,
-# so only one slab's worth of either is alive at once
+# characters of edge lines checked and split at a time; a split keeps a
+# token for every number, so only one slab's worth of them is alive at once
 _SLAB = 1 << 14
+
+# an edge line 'e <i> <j>\n' with its digits deleted
+_EDGE_LAYOUT = b"e  \n"
+_DIGITS = b"0123456789"
 
 
 def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
@@ -127,19 +130,28 @@ def _edge_endpoints(text: str, start: int, n: int) -> tuple[list[int], list[int]
     right: list[int] = []
     # a lookup converts a vertex number in about half the time int() takes,
     # and it has no key for a leading zero or a number >= n
-    vertex = {str(v): v for v in range(n)}.__getitem__
+    vertex = {b"%d" % v: v for v in range(n)}.__getitem__
     end = len(text)
     try:
         while start < end:
             # a slab ends at a newline, or at the end of the text
             stop = text.find("\n", start + _SLAB) + 1 or end
-            if _EDGE_LINES.fullmatch(text, start, stop) is None:
+            slab = text[start:stop].encode("ascii")
+            tokens = slab.split()
+            lines = len(tokens) // 3
+            # with its digits deleted each line must read 'e  \n', which
+            # leaves it at most three tokens; lines = len(tokens) // 3 then
+            # makes it exactly three, so no number is empty.  The first
+            # token may still carry digits ('e0 0 1', '0e 0 1'): it must be 'e'
+            if (
+                slab.translate(None, _DIGITS) != _EDGE_LAYOUT * lines
+                or tokens[::3].count(b"e") != lines
+            ):
                 return None
-            tokens = text[start:stop].split()
-            left += map(vertex, islice(tokens, 1, None, 3))
-            right += map(vertex, islice(tokens, 2, None, 3))
+            left += map(vertex, tokens[1::3])
+            right += map(vertex, tokens[2::3])
             start = stop
-    except KeyError:
+    except (KeyError, UnicodeEncodeError):
         return None
     return left, right
 

@@ -210,6 +210,10 @@ def _toggle_rows(
     return rows
 
 
+# a lamp's state character to its lamp-off flag, one byte each
+_OFF_FLAG = bytes.maketrans(b"01", b"\x01\x00")
+
+
 def _packed_system(
     n: int,
     switches: Sequence[SwitchType],
@@ -218,7 +222,7 @@ def _packed_system(
 ) -> list[int]:
     """The system's packed rows (see ``Instance._packed_rows``): the lamp-off
     flag is bit 0."""
-    off = (int(lamp == "0") for lamp in initially_on.to01())
+    off = initially_on.to01().encode().translate(_OFF_FLAG)
     return _toggle_rows(_column_bits(n), switches, off, edges)
 
 

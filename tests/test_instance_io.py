@@ -153,6 +153,11 @@ class TestBulkPath:
             K3_TEXT.replace("+-+", "+-"),
             K3_TEXT.replace("010", "01"),
             K3_TEXT + "f 0 2\n",
+            # lines that read 'e  ' with their digits deleted, and one that
+            # is not ASCII
+            K3_TEXT.replace("e 0 1", "e0 0 1"),
+            K3_TEXT.replace("e 0 1", "0e 0 1"),
+            K3_TEXT.replace("e 1 2", "\u00e9 1 2"),
         ],
     )
     def test_other_layouts_fall_back(self, text):
@@ -196,17 +201,19 @@ class TestBulkPath:
         assert exc.value.line == 3 + 12000
         assert str(exc.value) == f"line 12003: duplicate edge ({i}, {j})"
 
-    # the bulk path's vertex lookup turns away an endpoint >= n, and its
-    # popcount a self-loop: on a '+' vertex it sets no new bit, on a '-'
-    # vertex one, where a new edge sets two
+    # the bulk path's vertex lookup turns away an endpoint >= n, its layout
+    # check a digit joined to the 'e', and its popcount a self-loop: on a
+    # '+' vertex it sets no new bit, on a '-' vertex one, where a new edge
+    # sets two
     @pytest.mark.parametrize(
         "minus, extra, message",
         [
             (False, "e 7 7", "self-loop at vertex 7"),
             (True, "e 7 7", "self-loop at vertex 7"),
             (False, "e 0 12000", "edge (0, 12000) out of range for 12000 vertices"),
+            (False, "e0 0 2", "expected 'e <i> <j>', got 'e0 0 2'"),
         ],
-        ids=["plus-self-loop", "minus-self-loop", "endpoint-n"],
+        ids=["plus-self-loop", "minus-self-loop", "endpoint-n", "digit-after-e"],
     )
     def test_fault_past_the_first_slab_falls_back(self, minus, extra, message):
         inst = gen_random_tree(12000, seed=3)

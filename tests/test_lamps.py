@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from allones.gf2 import BitMat, BitVec, EchelonDecomposition
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _row_bytes
 from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
     EdgeError,
@@ -108,6 +108,26 @@ class TestBuildSystem:
                 for i in range(a.rows)
                 for j in range(i)
             )
+
+    @pytest.mark.parametrize(
+        "switches, on",
+        [
+            ("+" * 9, "0" * 9),
+            ("+-+" * 3, "1" * 9),
+            ("-++" * 3, "01" * 4 + "0"),
+            ("-", "0"),
+        ],
+        ids=["all-off", "all-on", "alternating", "one-minus-vertex"],
+    )
+    def test_packed_rows_carry_the_lamp_off_flags(self, switches, on):
+        n = len(on)
+        path = [(v, v + 1) for v in range(n - 1)]
+        inst = Instance(n, path, tuple(map(SwitchType, switches)), BitVec.from01(on))
+        a, b = build_system(inst)
+        nbytes = _row_bytes(n)
+        rows = tuple(_mirror(row, nbytes) | b[v] for v, row in enumerate(a.packed_rows))
+        assert inst._packed_rows() == rows
+        assert parse_instance(render_instance(inst))._packed_rows() == rows
 
 
 class TestSimulate:
