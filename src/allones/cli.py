@@ -114,9 +114,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         sol = sol.with_opt(exact_by_nullspace(dec.gamma, dec.basis)[0])
     t = dec.bound_mixed_x2  # (n + g1 - g0)/2 in lowest terms is num/den
     num, den = (t, 2) if t % 2 else (t // 2, 1)
+    press = sol.press.indices()
     payload: dict = {
         "feasible": True,
-        "press": sol.press.indices(),
+        "press": press,
         "sol": sol.weight,
         "r": dec.r,
         "m": dec.m,
@@ -129,11 +130,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if sol.opt is not None:
         payload["opt"] = sol.opt
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        # json's indent encoder is pure Python and writes the presses one
+        # at a time; they are joined in one call instead, into the bytes
+        # json.dumps(payload, indent=2) would print
+        text = json.dumps({**payload, "press": []}, indent=2)
+        if press:
+            items = ",\n    ".join(map(str, press))
+            text = text.replace('"press": []', f'"press": [\n    {items}\n  ]', 1)
+        print(text)
     else:
-        press = ",".join(map(str, payload["press"])) or "-"
         print("feasible")
-        print(f"press: {press}")
+        print("press: " + (",".join(map(str, press)) or "-"))
         print(f"sol: {sol.weight}")
         print(f"r: {dec.r} m: {dec.m} g0: {dec.g0} g1: {dec.g1}")
         print(f"bound(rank): {dec.r}")

@@ -33,9 +33,13 @@ parts are vertex masks, so no vertex is sorted or permuted.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import compress
 
 # _REV[x] is the byte x with its bit order reversed
 _REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+# a binary digit to its truth value, one byte each
+_BIT_FLAG = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitVec:
@@ -83,13 +87,10 @@ class BitVec:
 
     def indices(self) -> list[int]:
         """Ascending list of set-bit positions."""
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        # byte i of the flags is bit i, so one C-level pass keeps the
+        # positions set
+        flags = self.to01().encode().translate(_BIT_FLAG)
+        return list(compress(range(self.n), flags))
 
     def to01(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""

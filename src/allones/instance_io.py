@@ -17,13 +17,15 @@ digits without leading zeros, and every line ending in '\n'.  A regular
 expression admits the header; no regular expression reads the edge
 lines.  They are encoded as ASCII slab by slab; a slab is admitted when,
 with its digits deleted, it reads 'e  \n' once per line and its tokens
-are three per line with 'e' first.  A lookup turns the endpoint tokens
-into vertex numbers, turning away a leading zero and any number >= n.
+are three per line with 'e' first.  A table of decimal tokens, kept for
+the process and grown to the largest n parsed so far, turns the endpoint
+tokens into vertex numbers and turns away a leading zero.
 The bulk path makes no edge tuples and sorts nothing: it builds each
 vertex's row of the linear system directly, in the bit-mirrored layout
-the elimination reads, and one popcount over the rows turns away
-self-loops and repeated edges.  The Instance derives its sorted edges
-from the rows only when they are read.
+the elimination reads.  That row build turns away an endpoint >= n, and
+one popcount over the rows turns away self-loops and repeated edges.
+The Instance derives its sorted edges from the rows only when they are
+read.
 Any other text, and any text the bulk path finds a fault in, goes to the
 line-by-line parser.  So every other valid layout (comments, blank lines,
 CRLF, tabs, extra spaces, a missing final newline) parses to the same
@@ -113,6 +115,14 @@ _SLAB = 1 << 14
 _EDGE_LAYOUT = b"e  \n"
 _DIGITS = b"0123456789"
 
+# vertex number v's ASCII decimal token to v, for every v below the largest
+# vertex count parsed so far in this process; a lookup converts a token in
+# about half the time int() takes and has no key for a leading zero.  It
+# holds at most VERTEX_LIMIT entries, as _parse_canonical checks n first,
+# and an entry never changes, so two parses growing it at once only write
+# equal entries
+_VERTEX_OF: dict[bytes, int] = {}
+
 
 def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
     """'+'/'-' characters to switch types; raises ValueError on others."""
@@ -125,12 +135,14 @@ def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
 
 def _edge_endpoints(text: str, start: int, n: int) -> tuple[list[int], list[int]] | None:
     """Both endpoint columns of the edge lines from start on, or None if
-    some line there is not exactly 'e <i> <j>' or names a vertex >= n."""
+    some line there is not exactly 'e <i> <j>'.  An endpoint may be >= n
+    when a larger instance was parsed before; the row build turns it away."""
     left: list[int] = []
     right: list[int] = []
-    # a lookup converts a vertex number in about half the time int() takes,
-    # and it has no key for a leading zero or a number >= n
-    vertex = {b"%d" % v: v for v in range(n)}.__getitem__
+    known = len(_VERTEX_OF)
+    if known < n:
+        _VERTEX_OF.update({b"%d" % v: v for v in range(known, n)})
+    vertex = _VERTEX_OF.__getitem__
     end = len(text)
     try:
         while start < end:

@@ -128,15 +128,19 @@ class Instance:
         """The instance on edges (left[k], right[k]), or None where
         __init__ would raise; it never raises.
 
-        Every endpoint must already be an int in range(n), as the bulk
-        parser's vertex lookup guarantees, and switches and initially_on
+        Every endpoint must already be a non-negative int, as the bulk
+        parser's vertex table guarantees, and switches and initially_on
         must hold n entries.  The graph is kept as the system's packed
-        rows, built straight from the endpoints, and one popcount over them
-        finds the other faults: a new edge sets exactly two new bits, a
-        repeated edge, in either orientation, none, and a self-loop at most
-        one.
+        rows, built straight from the endpoints.  The row build turns away
+        an endpoint >= n, which indexes past its length-n lists, and one
+        popcount over the rows finds the other faults: a new edge sets
+        exactly two new bits, a repeated edge, in either orientation, none,
+        and a self-loop at most one.
         """
-        rows = _packed_system(n, switches, initially_on, zip(left, right))
+        try:
+            rows = _packed_system(n, switches, initially_on, zip(left, right))
+        except IndexError:
+            return None
         plus = switches.count(SwitchType.SIGMA_PLUS)
         off = n - initially_on.weight
         if sum(map(int.bit_count, rows)) != 2 * len(left) + plus + off:
@@ -200,7 +204,8 @@ def _toggle_rows(
 ) -> list[int]:
     """Per vertex v, with vertex w at bit[w]: the vertices v's button
     toggles, ORed with v's flag.  Each edge is given once, in any
-    orientation; a repeated edge leaves its bits as they were."""
+    orientation; a repeated edge leaves its bits as they were, and an
+    endpoint >= len(bit) raises IndexError."""
     plus = SwitchType.SIGMA_PLUS
     # a row with no flag starts as its table entry: b | 0 would copy a wide int
     rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, flags)]

@@ -79,6 +79,23 @@ class TestSolve:
         assert payload["boundMixedDenominator"] == 1
         assert payload["opt"] == 1
 
+    @pytest.mark.parametrize(
+        "text, presses",
+        [
+            ("allones 2\nswitches ++\non 11\ne 0 1\n", 0),
+            (render_instance(gen_complete(2)), 1),
+            (render_instance(gen_random_tree(300, seed=1)), 139),
+        ],
+        ids=["no-press", "one-press", "many-presses"],
+    )
+    def test_json_bytes_are_json_dumps_indent_2(self, tmp_path, capsys, text, presses):
+        path = tmp_path / "inst.ao"
+        path.write_text(text)
+        assert cli.main(["solve", str(path), "--output", "json"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["press"]) == presses
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
     def test_opt_respects_exact_limit(self, k2_file):
         res = run_cli("solve", k2_file, "--output", "json", "--exact-limit", "0")
         payload = json.loads(res.stdout)

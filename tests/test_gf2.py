@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -63,6 +63,14 @@ def dense_systems(draw, max_dim=24):
     return BitMat(rows, cols, packed), BitVec(rows, draw(st.integers(0, (1 << rows) - 1)))
 
 
+@st.composite
+def bit_vectors(draw, max_n=2000):
+    """(n, bits): empty, full or random, up to many machine words wide."""
+    n = draw(st.integers(0, max_n))
+    bits = draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+    return n, bits
+
+
 class TestBitVec:
     def test_padding_is_canonical(self):
         with pytest.raises(ValueError):
@@ -96,6 +104,15 @@ class TestBitVec:
     def test_xor_and_indexing(self):
         a = BitVec.from01("1100")
         assert a[0] == 1 and a[2] == 0
+
+    @settings(deadline=None)
+    @given(bit_vectors())
+    @example((0, 0))
+    @example((2000, 0))
+    @example((2000, (1 << 2000) - 1))
+    def test_indices_match_a_bit_scan(self, vector):
+        n, bits = vector
+        assert BitVec(n, bits).indices() == [i for i in range(n) if bits >> i & 1]
 
 
 class TestBitMat:

@@ -201,21 +201,34 @@ class TestBulkPath:
         assert exc.value.line == 3 + 12000
         assert str(exc.value) == f"line 12003: duplicate edge ({i}, {j})"
 
-    # the bulk path's vertex lookup turns away an endpoint >= n, its layout
-    # check a digit joined to the 'e', and its popcount a self-loop: on a
-    # '+' vertex it sets no new bit, on a '-' vertex one, where a new edge
-    # sets two
+    # the bulk path turns away an endpoint >= n, its layout check a digit
+    # joined to the 'e', and its popcount a self-loop: on a '+' vertex it
+    # sets no new bit, on a '-' vertex one, where a new edge sets two.  The
+    # vertex table is kept for the process, so after a larger instance was
+    # parsed the endpoint n finds a key, and only the row build can turn it
+    # away
     @pytest.mark.parametrize(
-        "minus, extra, message",
+        "larger_first, minus, extra, message",
         [
-            (False, "e 7 7", "self-loop at vertex 7"),
-            (True, "e 7 7", "self-loop at vertex 7"),
-            (False, "e 0 12000", "edge (0, 12000) out of range for 12000 vertices"),
-            (False, "e0 0 2", "expected 'e <i> <j>', got 'e0 0 2'"),
+            (False, False, "e 7 7", "self-loop at vertex 7"),
+            (False, True, "e 7 7", "self-loop at vertex 7"),
+            (False, False, "e 0 12000", "edge (0, 12000) out of range for 12000 vertices"),
+            (True, False, "e 0 12000", "edge (0, 12000) out of range for 12000 vertices"),
+            (False, False, "e0 0 2", "expected 'e <i> <j>', got 'e0 0 2'"),
         ],
-        ids=["plus-self-loop", "minus-self-loop", "endpoint-n", "digit-after-e"],
+        ids=[
+            "plus-self-loop",
+            "minus-self-loop",
+            "endpoint-n",
+            "endpoint-n-after-a-larger-parse",
+            "digit-after-e",
+        ],
     )
-    def test_fault_past_the_first_slab_falls_back(self, minus, extra, message):
+    def test_fault_past_the_first_slab_falls_back(self, larger_first, minus, extra, message):
+        if larger_first:
+            larger = gen_path(12001)
+            assert _parse_canonical(render_instance(larger)) == larger
+            assert instance_io._VERTEX_OF[b"12000"] == 12000
         inst = gen_random_tree(12000, seed=3)
         if minus:
             switches = list(inst.switches)
