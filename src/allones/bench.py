@@ -26,7 +26,6 @@ VIOLATION_KINDS = (
     "optSandwich",
     "oracleAgreement",
 )
-DEFAULT_ORACLE_LIMIT = 12
 
 
 def check_instance(

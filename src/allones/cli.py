@@ -8,12 +8,11 @@ for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from collections.abc import Sequence
 
 from .approx import solve_approx
-from .bench import DEFAULT_ORACLE_LIMIT, render_report, run_bench
 from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
 from .instance_io import (
@@ -37,6 +36,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 DEFAULT_EXACT_LIMIT = 16
+DEFAULT_ORACLE_LIMIT = 12
 
 # most vertices plus edges `gen` builds (for gnp, vertex pairs drawn);
 # at the limit, generating and rendering allocate about 190 MiB
@@ -91,6 +91,21 @@ def _parse_press(text: str, n: int) -> BitVec:
     return BitVec.from_indices(n, indices)
 
 
+def _json_text(payload: dict) -> str:
+    """The text json.dumps(payload, indent=2) gives for solve's payloads,
+    whose keys need no escapes and whose values are bools, ints and lists
+    of ints; solve writes it itself, so it never loads json."""
+
+    def value(v: bool | int | list[int]) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, list):
+            return "[\n    " + ",\n    ".join(map(str, v)) + "\n  ]" if v else "[]"
+        return str(v)
+
+    return "{\n" + ",\n".join(f'  "{k}": {value(v)}' for k, v in payload.items()) + "\n}"
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     if bad := _out_of_range("--exact-limit", args.exact_limit, 0, NULLSPACE_LIMIT):
         return _fail(bad)
@@ -101,7 +116,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     r, sol = solve_approx(inst)
     if sol is None:
         if args.output == "json":
-            print(json.dumps({"feasible": False, "r": r, "m": inst.n - r}, indent=2))
+            print(_json_text({"feasible": False, "r": r, "m": inst.n - r}))
         else:
             print("infeasible")
             print(f"r: {r}")
@@ -130,14 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if sol.opt is not None:
         payload["opt"] = sol.opt
     if args.output == "json":
-        # json's indent encoder is pure Python and writes the presses one
-        # at a time; they are joined in one call instead, into the bytes
-        # json.dumps(payload, indent=2) would print
-        text = json.dumps({**payload, "press": []}, indent=2)
-        if press:
-            items = ",\n    ".join(map(str, press))
-            text = text.replace('"press": []', f'"press": [\n    {items}\n  ]', 1)
-        print(text)
+        print(_json_text(payload))
     else:
         print("feasible")
         print("press: " + (",".join(map(str, press)) or "-"))
@@ -226,11 +234,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):
         return _fail(bad)
-    report = run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
+    # only bench loads the corpus checker and json, so solve's start pays
+    # for neither
+    from . import bench
+
+    report = bench.run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
     if args.output == "json":
+        import json
+
         print(json.dumps(report, indent=2))
     else:
-        sys.stdout.write(render_report(report))
+        sys.stdout.write(bench.render_report(report))
     return EXIT_USAGE if any(report["results"]["violations"].values()) else EXIT_OK
 
 
@@ -292,7 +306,18 @@ def _build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # a closed stdout shows here at the latest, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit
+        # fails no more, and exit 1 without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return status
 
 
 if __name__ == "__main__":

@@ -80,21 +80,29 @@ class TestSolve:
         assert payload["opt"] == 1
 
     @pytest.mark.parametrize(
-        "text, presses",
+        "text, flags, code, keys, presses",
         [
-            ("allones 2\nswitches ++\non 11\ne 0 1\n", 0),
-            (render_instance(gen_complete(2)), 1),
-            (render_instance(gen_random_tree(300, seed=1)), 139),
+            ("allones 2\nswitches ++\non 11\ne 0 1\n", [], 0, FEASIBLE_KEYS | {"opt"}, 0),
+            (render_instance(gen_complete(2)), [], 0, FEASIBLE_KEYS | {"opt"}, 1),
+            (render_instance(gen_random_tree(300, seed=1)), [], 0, FEASIBLE_KEYS | {"opt"}, 139),
+            (render_instance(gen_complete(2)), ["--exact-limit", "0"], 0, FEASIBLE_KEYS, 1),
+            ("allones 1\nswitches -\non 0\n", [], 2, {"feasible", "r", "m"}, 0),
         ],
-        ids=["no-press", "one-press", "many-presses"],
+        ids=["no-press", "one-press", "many-presses", "no-opt", "infeasible"],
     )
-    def test_json_bytes_are_json_dumps_indent_2(self, tmp_path, capsys, text, presses):
+    def test_json_bytes_are_json_dumps_indent_2(
+        self, tmp_path, capsys, text, flags, code, keys, presses
+    ):
+        # solve writes its JSON without the json module: the bytes must be
+        # those of json.dumps(payload, indent=2) for every payload shape
         path = tmp_path / "inst.ao"
         path.write_text(text)
-        assert cli.main(["solve", str(path), "--output", "json"]) == 0
+        assert cli.main(["solve", str(path), "--output", "json", *flags]) == code
         out = capsys.readouterr().out
-        assert len(json.loads(out)["press"]) == presses
-        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        payload = json.loads(out)
+        assert set(payload) == keys
+        assert len(payload.get("press", ())) == presses
+        assert json.dumps(payload, indent=2) + "\n" == out
 
     def test_opt_respects_exact_limit(self, k2_file):
         res = run_cli("solve", k2_file, "--output", "json", "--exact-limit", "0")
@@ -478,7 +486,7 @@ class TestBench:
             raise Reached(sizes)
 
         monkeypatch.setattr(bench, "gen_random_mixed", refuse)
-        monkeypatch.setattr(cli, "run_bench", stub)
+        monkeypatch.setattr(bench, "run_bench", stub)
         for flags in (["--sizes", "8,1414"],
                       ["--sizes", "1413", "--trials", "2"],
                       ["--sizes", "1000,1000", "--trials", "1"],
@@ -563,19 +571,43 @@ class TestUsage:
             "error: press vector '0,x' is not a comma-separated index list\n"
         )
 
-    def test_import_adds_no_heavy_stdlib_module(self):
+    def test_import_adds_no_heavy_stdlib_module(self, k2_file):
         # dataclasses pulls inspect, ast, dis and tokenize in, fractions
         # pulls decimal: each would add to the start of every allones call.
-        # Only what the import itself adds counts, since site may preload
-        # typing before allones is imported
+        # json and the bench module serve only `allones bench`, so neither
+        # the import nor a JSON solve may load them. Only what allones adds
+        # counts, since site may preload typing before allones is imported
         code = (
-            "import sys; before = set(sys.modules); import allones.cli; "
-            "print(sorted({'dataclasses', 'fractions', 'decimal', 'typing'}"
-            " & (set(sys.modules) - before)))"
+            "import contextlib, io, sys; before = set(sys.modules); import allones.cli\n"
+            "heavy = {'dataclasses', 'fractions', 'decimal', 'typing', 'json', 'allones.bench'}\n"
+            "print(sorted(heavy & (set(sys.modules) - before)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    allones.cli.main(['solve', {k2_file!r}, '--output', 'json'])\n"
+            "print(sorted(heavy & (set(sys.modules) - before)))\n"
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "[]\n"
+        assert res.stdout == "[]\n[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "FILE", "--output", "json"], ["gen", "grid", "5", "5"]],
+        ids=["solve-json", "gen"],
+    )
+    def test_closed_stdout_exits_1_without_a_message(self, k2_file, argv):
+        # the reader closed the pipe before anything was written: no
+        # BrokenPipeError traceback on stderr, only exit status 1
+        argv = [k2_file if a == "FILE" else a for a in argv]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "allones", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
 
     def test_help_exits_zero(self):
         res = run_cli("solve", "-h")
