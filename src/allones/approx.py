@@ -2,8 +2,9 @@
 
 The pipeline: solve the instance's GF(2) system, column-reduce the null
 basis and group the vertices by their last nonzero column, then fix one
-free coordinate per group by majority vote.  The returned press set u is
-guaranteed feasible with weight(u) <= r (system rank) and
+free coordinate per group by majority vote: the exact module's
+part-order dynamic program with no coordinate kept live.  The press set
+u is feasible with weight(u) <= r (system rank) and
 2*weight(u) <= n + g1 - g0, hence weight(u) <= (n + opt)/2.  It comes
 back as a ``lamps.Solution`` that holds u and the echelon decomposition,
 which carries both bounds as ints: r and bound_mixed_x2 = n + g1 - g0.
@@ -14,35 +15,26 @@ elimination.
 
 from __future__ import annotations
 
+from .exact import _part_dp
 from .gf2 import BitVec, EchelonDecomposition, column_echelon_grouped, solve
 from .lamps import Instance, Solution
 
 
-def greedy_assign(dec: EchelonDecomposition) -> tuple[BitVec, BitVec]:
-    """Majority-vote free coordinates, one per part, in basis order.
+def greedy_assign(dec: EchelonDecomposition) -> BitVec:
+    """The press set u = epsilon.z + gamma, one free coordinate per part
+    fixed by majority vote in basis order; on part 0, u is gamma.
 
-    acc holds epsilon.z over the coordinates fixed so far.  Basis vector k
-    is the last one that touches part k+1, so once z_k is fixed the press
-    bits acc ^ gamma on that part are final: their count with z_k = 0 is the
-    part's press weight, and z_k = 1 flips the whole part.  Ties keep
-    z_k = 0.  Returns (z, u) with u = epsilon.z + gamma in vertex order;
-    on part 0, u is gamma.
+    This is ``exact._part_dp`` with nothing kept live: each step leaves one
+    state, and z_k = 1 flips the whole of part k+1, so it wins exactly when
+    it leaves fewer than half the part pressed.  Ties keep z_k = 0.
     """
-    g = dec.gamma.bits
-    parts = dec.parts
-    acc = 0
-    z = 0
-    for k, vec in enumerate(dec.basis.packed_rows):
-        part = parts[k + 1]
-        if 2 * ((acc ^ g) & part).bit_count() > part.bit_count():
-            z |= 1 << k
-            acc ^= vec
-    return BitVec(dec.m, z), BitVec(dec.n, acc ^ g)
+    vecs = dec.basis.packed_rows
+    return BitVec(dec.n, _part_dp(dec.gamma.bits, vecs, dec.parts, [0] * len(vecs))[1])
 
 
 def solve_from_decomposition(dec: EchelonDecomposition) -> Solution:
     """Re-derive the press set from a cached decomposition (O(m) mask operations)."""
-    return Solution(greedy_assign(dec)[1], dec)
+    return Solution(greedy_assign(dec), dec)
 
 
 def solve_approx(inst: Instance) -> tuple[int, Solution | None]:

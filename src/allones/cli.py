@@ -1,8 +1,9 @@
 """Command-line surface: solve, verify, gen, bench.
 
 Exit codes: 0 success/feasible, 2 infeasible (or lamps left off), 1 usage
-or parse errors (or bench found violations).  JSON output is byte-stable
-for identical inputs and flags.
+or parse errors (or bench found violations), and 1 with nothing on stderr
+when stdout is closed before the output is written.  JSON output is
+byte-stable for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _parse_press(text: str, n: int) -> BitVec:
         if not 0 <= i < n:
             # clipped, so the reason at the end survives _fail's cut
             raise ValueError(f"index {_clip(str(i), 20)} out of range for length {n}")
-    return BitVec.from_indices(n, indices)
+    # the indices are distinct, so the sum sets each bit once
+    return BitVec(n, sum(1 << i for i in indices))
 
 
 def _json_text(payload: dict) -> str:

@@ -56,23 +56,26 @@ def _part_dp(
     """(opt, argmin) by a dynamic program over the parts in order.
 
     Step k fixes z_k; the press bits of part k+1 then depend only on
-    z_0..z_k, so each step adds that part's weight.  A state keeps the z's
-    that later parts still read, as ``z & live[k]`` (z bit-reversed as in
-    ``_live_masks``), and maps it to (cost, z, acc) with acc the XOR of the
-    chosen vectors.  States with one key share every completion, so the
-    one with the smaller (cost, z) also gives the smaller full vector:
-    ties go to the lexicographically smallest combination, as in the walk.
+    z_0..z_k, so each step adds that part's weight.  Part k+1 lies inside
+    vector k, so z_k = 1 flips the whole part: w pressed bits of it under
+    z_k = 0 become size - w.  A state keeps the z's that later parts still
+    read, as ``z & live[k]`` (z bit-reversed as in ``_live_masks``), and
+    maps it to (cost, z, acc) with acc the XOR of the chosen vectors.
+    States with one key share every completion, so the one with the
+    smaller (cost, z) also gives the smaller full vector: ties go to the
+    lexicographically smallest combination, as in the walk.  With every
+    mask 0 one state is left per step, and this is the greedy
+    (``approx.greedy_assign``).
     """
     states = {0: ((gamma & parts[0]).bit_count(), 0, 0)}
     bit = 1 << len(vecs)
     for vec, part, keep in zip(vecs, parts[1:], live):
         bit >>= 1
         nxt: dict[int, tuple[int, int, int]] = {}
+        size = part.bit_count()
         for cost, z, acc in states.values():
-            for cand in (
-                (cost + ((acc ^ gamma) & part).bit_count(), z, acc),
-                (cost + ((acc ^ vec ^ gamma) & part).bit_count(), z | bit, acc ^ vec),
-            ):
+            w = ((acc ^ gamma) & part).bit_count()
+            for cand in ((cost + w, z, acc), (cost + size - w, z | bit, acc ^ vec)):
                 key = cand[1] & keep
                 old = nxt.get(key)
                 if old is None or cand < old:

@@ -32,7 +32,7 @@ parts are vertex masks, so no vertex is sorted or permuted.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import compress
 
 # _REV[x] is the byte x with its bit order reversed
@@ -61,15 +61,6 @@ class BitVec:
     @classmethod
     def zeros(cls, n: int) -> "BitVec":
         return cls(n, 0)
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            bits |= 1 << i
-        return cls(n, bits)
 
     @classmethod
     def from01(cls, text: str) -> "BitVec":

@@ -58,7 +58,7 @@ def corpus():
             dec = column_echelon_grouped(eta, gamma)
             rec["dec"] = dec
             rec["sol"] = solve_from_decomposition(dec)
-            rec["u"] = greedy_assign(dec)[1]
+            rec["u"] = greedy_assign(dec)
         records.append(rec)
     elapsed = time.perf_counter() - t0
     return records, elapsed

@@ -3,8 +3,11 @@
 import hashlib
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from allones.approx import greedy_assign, solve_approx, solve_from_decomposition
-from allones.exact import exact_by_press_enumeration
+from allones.exact import _part_dp, exact_by_nullspace, exact_by_press_enumeration
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition
 from allones.instance_io import (
     SplitMix64,
@@ -51,26 +54,58 @@ def _pinned_corpus():
                 yield gen_random_mixed(n, p, seed)
 
 
+def _majority_vote(dec):
+    """The greedy written out: in basis order, z_k = 1 when it leaves fewer
+    than half of part k+1 pressed.  Returns u's bits."""
+    g, acc = dec.gamma.bits, 0
+    for k, vec in enumerate(dec.basis.packed_rows):
+        part = dec.parts[k + 1]
+        if 2 * ((acc ^ g) & part).bit_count() > part.bit_count():
+            acc ^= vec
+    return acc ^ g
+
+
+@st.composite
+def decompositions(draw, max_n=12):
+    """Independent random rows as drawn, not reduced, so a part may be empty."""
+    n = draw(st.integers(1, max_n))
+    rows, pivots = [], {}  # leading bit length -> a reduced row
+    for row in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n)):
+        rest = row
+        while rest and rest.bit_length() in pivots:
+            rest ^= pivots[rest.bit_length()]
+        if rest:
+            pivots[rest.bit_length()] = rest
+            rows.append(row)
+    gamma = BitVec(n, draw(st.integers(0, (1 << n) - 1)))
+    return EchelonDecomposition(BitMat(len(rows), n, rows), gamma)
+
+
 class TestGreedyAssign:
+    @settings(deadline=None)
+    @given(decompositions())
+    def test_matches_a_majority_vote(self, dec):
+        u = greedy_assign(dec)
+        assert u == BitVec(dec.n, _majority_vote(dec))
+        vecs = dec.basis.packed_rows
+        assert u.weight == _part_dp(dec.gamma.bits, vecs, dec.parts, [0] * dec.m)[0]
+
     def test_tie_prefers_zero(self):
         # both choices cost one press; the tie keeps z = 0
         dec = _dec(2, [0b11], 0b01)
         assert dec.parts == (0, 0b11)
-        z, u = greedy_assign(dec)
-        assert z == BitVec(1, 0)
+        u = greedy_assign(dec)
         assert u == BitVec.from01("10")
 
     def test_majority_flips(self):
         dec = _dec(3, [0b111], 0b011)
-        z, u = greedy_assign(dec)
-        assert z == BitVec(1, 1)
+        u = greedy_assign(dec)
         assert u == BitVec.from01("001")
         assert u.weight == 1
 
     def test_no_free_variables(self):
         dec = _dec(3, [], 0b110)
-        z, u = greedy_assign(dec)
-        assert z.n == 0
+        u = greedy_assign(dec)
         assert u == BitVec(3, 0b110)
 
     def test_later_parts_see_earlier_choices(self):
@@ -79,15 +114,13 @@ class TestGreedyAssign:
         # read against the press bits z_0 left there
         dec = _dec(5, [0b01111, 0b11100], 0b00000)
         assert dec.parts == (0, 0b00011, 0b11100)
-        z, u = greedy_assign(dec)
+        u = greedy_assign(dec)
         # part 1: two mismatch-free vertices under z_0 = 0
-        assert z[0] == 0
         # part 2: prefix bits are 0, gammas 0 -> z_1 = 0, u all zero
         assert u == BitVec.zeros(5)
         # gamma = 1 on part 1 forces z_0 = 1, which leaves vertices 2 and 3
         # of part 2 pressed: two of three, so z_1 = 1 as well
-        z, u = greedy_assign(_dec(5, [0b01111, 0b11100], 0b00011))
-        assert z == BitVec(2, 0b11)
+        u = greedy_assign(_dec(5, [0b01111, 0b11100], 0b00011))
         assert u == BitVec(5, 0b10000)
 
 
@@ -204,10 +237,27 @@ class TestSolveApprox:
             assert is_all_on(simulate_presses(inst, sol.press))
             assert sol.weight <= dec.r
             assert 2 * sol.weight <= inst.n + dec.g1 - dec.g0
-            _, u = greedy_assign(dec)
+            u = greedy_assign(dec)
             for part in dec.parts[1:]:
                 assert 2 * (u.bits & part).bit_count() <= part.bit_count()
         assert feasible >= 100
+
+
+    def test_every_six_vertex_graph_is_pinned(self):
+        # all 2**15 labelled graphs on 6 vertices, all '+' and lamps off, so
+        # all feasible; with no random draw, any drift in the greedy's tie
+        # rule or in the part-order DP moves a total
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        total_sol = total_opt = above_opt = 0
+        for mask in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            _, sol = solve_approx(Instance(6, edges))
+            dec = sol.decomposition
+            opt = exact_by_nullspace(dec.gamma, dec.basis)[0]
+            total_sol += sol.weight
+            total_opt += opt
+            above_opt += sol.weight > opt
+        assert (total_sol, total_opt, above_opt) == (86_015, 85_999, 8)
 
 
 class TestComputeBounds:
