@@ -30,7 +30,7 @@ from .instance_io import (
     parse_switch_string,
     render_instance,
 )
-from .lamps import Instance, is_all_on, simulate_presses
+from .lamps import Instance, simulate_presses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,11 +167,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ParseError, ValueError) as exc:
         return _fail(str(exc))
     state = simulate_presses(inst, press)
-    if is_all_on(state):
+    off = BitVec(inst.n, ~state.bits & ((1 << inst.n) - 1)).indices()
+    if not off:
         print("ALL ON")
         return EXIT_OK
-    off = [str(v) for v in range(inst.n) if not state[v]]
-    print("STILL OFF: " + " ".join(off))
+    print("STILL OFF: " + " ".join(map(str, off)))
     return EXIT_INFEASIBLE
 
 

@@ -6,6 +6,11 @@ when the basis is narrow, otherwise by walking all 2**m combinations.
 ``exact_by_press_enumeration`` tries every press pattern outright (2**n
 candidates) and never touches the algebra.  Both walks use Gray-code
 order so each step is a single XOR plus a popcount.
+
+Every combination vector z and press vector here has k coordinates, and
+coordinate j sits at bit k-1-j.  Of two such vectors of equal weight the
+lexicographically smaller, coordinate 0 first, is then the smaller int,
+and that is how every search breaks ties.
 """
 
 from __future__ import annotations
@@ -19,18 +24,8 @@ PRESS_LIMIT = 20
 DP_STEP_COST = 4
 
 
-def _lex_less(a: int, b: int) -> bool:
-    """True if packed vector a precedes b lexicographically (bit 0 first)."""
-    d = a ^ b
-    return d != 0 and a & (d & -d) == 0
-
-
 def _live_masks(vecs: tuple[int, ...], parts: tuple[int, ...]) -> list[int]:
-    """Mask k holds the z_j, j <= k, that some part after k+1 still reads.
-
-    z_j sits at bit m-1-j, so in this layout comparing two z vectors as
-    integers compares them lexicographically, z_0 first.
-    """
+    """Mask k holds the z_j, j <= k, that some part after k+1 still reads."""
     m = len(vecs)
     live = [0] * m
     for j, vec in enumerate(vecs):
@@ -59,8 +54,8 @@ def _part_dp(
     z_0..z_k, so each step adds that part's weight.  Part k+1 lies inside
     vector k, so z_k = 1 flips the whole part: w pressed bits of it under
     z_k = 0 become size - w.  A state keeps the z's that later parts still
-    read, as ``z & live[k]`` (z bit-reversed as in ``_live_masks``), and
-    maps it to (cost, z, acc) with acc the XOR of the chosen vectors.
+    read, as ``z & live[k]``, and maps it to (cost, z, acc) with acc the
+    XOR of the chosen vectors.
     States with one key share every completion, so the one with the
     smaller (cost, z) also gives the smaller full vector: ties go to the
     lexicographically smallest combination, as in the walk.  With every
@@ -88,17 +83,19 @@ def _part_dp(
 
 def _gray_walk(gamma: int, vecs: tuple[int, ...]) -> tuple[int, int]:
     """(opt, argmin) by visiting all 2**m combinations in Gray-code order."""
+    m = len(vecs)
+    top = (1 << m) >> 1
     cur = gamma
     best_w = cur.bit_count()
     best_x = 0
     best_u = cur
     x = 0
-    for k in range(1, 1 << len(vecs)):
+    for k in range(1, 1 << m):
         j = (k & -k).bit_length() - 1
-        x ^= 1 << j
+        x ^= top >> j
         cur ^= vecs[j]
         w = cur.bit_count()
-        if w < best_w or (w == best_w and _lex_less(x, best_x)):
+        if w < best_w or (w == best_w and x < best_x):
             best_w, best_x, best_u = w, x, cur
     return best_w, best_u
 
@@ -148,6 +145,7 @@ def exact_by_press_enumeration(inst: Instance) -> tuple[int, BitVec] | None:
         raise ValueError(f"{n} vertices exceed the press enumeration limit {PRESS_LIMIT}")
     masks = build_system(inst)[0].packed_rows
     target = (1 << n) - 1
+    top = 1 << (n - 1)
     state = inst.initially_on.bits
     press = 0
     best: tuple[int, int] | None = None
@@ -155,12 +153,12 @@ def exact_by_press_enumeration(inst: Instance) -> tuple[int, BitVec] | None:
         best = (0, 0)
     for k in range(1, 1 << n):
         j = (k & -k).bit_length() - 1
-        press ^= 1 << j
+        press ^= top >> j
         state ^= masks[j]
         if state == target:
-            w = press.bit_count()
-            if best is None or w < best[0] or (w == best[0] and _lex_less(press, best[1])):
-                best = (w, press)
+            cand = (press.bit_count(), press)
+            if best is None or cand < best:
+                best = cand
     if best is None:
         return None
-    return best[0], BitVec(n, best[1])
+    return best[0], BitVec.from01(format(best[1], f"0{n}b"))

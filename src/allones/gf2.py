@@ -379,9 +379,8 @@ def solve(
         if a.rows != b.n:
             raise ValueError(f"matrix has {a.rows} rows but vector length is {b.n}")
         nbytes = _row_bytes(a.cols)
-        flags = format(b.bits, f"0{b.n}b")[::-1]
         # b (a bool) is bit 0
-        rows = [_mirror(row, nbytes) | (f == "1") for f, row in zip(flags, a.packed_rows)]
+        rows = [_mirror(row, nbytes) | (f == "1") for f, row in zip(b.to01(), a.packed_rows)]
         cols = a.cols
     else:
         rows, cols = a, b

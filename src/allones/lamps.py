@@ -104,6 +104,8 @@ class Instance:
             raise ValueError("switches must be SwitchType values")
         if initially_on is None:
             initially_on = BitVec.zeros(n)
+        if not isinstance(initially_on, BitVec):
+            raise ValueError(f"initially_on must be a BitVec, not {type(initially_on).__name__}")
         if initially_on.n != n:
             raise ValueError(
                 f"initially_on has length {initially_on.n}, expected {n}"
@@ -289,11 +291,8 @@ def simulate_presses(inst: Instance, press: BitVec) -> BitVec:
         raise ValueError(f"press vector length {press.n}, expected {inst.n}")
     rows = inst._packed_rows()
     toggled = 0
-    pb = press.bits
-    while pb:
-        low = pb & -pb
-        toggled ^= rows[low.bit_length() - 1]
-        pb ^= low
+    for v in press.indices():
+        toggled ^= rows[v]
     return BitVec(inst.n, inst.initially_on.bits ^ _unmirror(toggled, inst.n))
 
 

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _row_bytes
@@ -43,6 +44,11 @@ class TestInstanceValidation:
             Instance(2, [], (PLUS,))
         with pytest.raises(ValueError):
             Instance(2, [], initially_on=BitVec.zeros(3))
+
+    @pytest.mark.parametrize("on", ["01", 3, [0, 1]])
+    def test_rejects_initially_on_that_is_not_a_bitvec(self, on):
+        with pytest.raises(ValueError, match="must be a BitVec"):
+            Instance(2, [], None, on)
 
     def test_integer_like_endpoints_become_ints(self):
         for edge in [(True, 2), (np.int64(1), np.uint8(2))]:
@@ -169,6 +175,32 @@ def test_simulation_matches_algebra():
             lit = is_all_on(simulate_presses(inst, press))
             assert lit == (mat_vec(a, press) == b)
             pairs += 1
+
+
+def test_simulation_gives_the_oracles_final_state():
+    # every lamp's final state, not only the all-on bit, on instances as
+    # built from edges and as parsed, whose rows the bulk path packs; the
+    # sizes straddle byte and word edges of the packed rows
+    rnd = random.Random(2718)
+    replays = 0
+    for n in range(1, 71):
+        for _ in range(2):
+            p = rnd.random()
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
+            plus = [not rnd.getrandbits(1) for _ in range(n)]
+            on = BitVec(n, rnd.getrandbits(n))
+            on_bits = list(map(int, on.to01()))
+            built = Instance(n, edges, [PLUS if s else MINUS for s in plus], on)
+            parsed = parse_instance(render_instance(built))
+            assert parsed._rows is not None
+            for bits in (0, (1 << n) - 1, rnd.getrandbits(n)):
+                press = BitVec(n, bits)
+                final = oracles.simulate(n, edges, plus, on_bits, list(map(int, press.to01())))
+                want = "".join(map(str, final))
+                for inst in (built, parsed):
+                    assert simulate_presses(inst, press).to01() == want
+                    replays += 1
+    assert replays == 840
 
 
 def test_with_opt_accepts_only_g1_to_weight():
