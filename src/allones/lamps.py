@@ -11,15 +11,15 @@ vertices v's button toggles, and whether lamp v is off.  Its rows are
 packed in the layout ``gf2.solve``'s elimination reads (``gf2`` owns
 it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
 bit 0), so the solve path uses them as they are; ``edges``,
-``simulate_presses`` and, on a parsed instance, ``build_system`` read
-them back in vertex order with ``_unmirror``.
+``simulate_presses`` and ``build_system`` read them back in vertex
+order with ``_unmirror``.  ``_packed_system`` is the one builder of
+these rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from itertools import repeat
 from operator import index
 
 from .gf2 import BitMat, BitVec, EchelonDecomposition, _column_bits, _unmirror
@@ -55,8 +55,7 @@ class Instance:
     system's rows (see the module docstring) each time they are read.  The
     bulk parse path keeps the packed rows instead and derives ``edges``
     from them on first use.  Either way an instance holds one layout of
-    the rows at most; ``build_system`` builds the vertex-order rows from
-    the edges when it holds none.
+    the rows at most.
     """
 
     __slots__ = ("n", "switches", "initially_on", "_edges", "_rows")
@@ -198,25 +197,6 @@ class Instance:
         )
 
 
-def _toggle_rows(
-    bit: Sequence[int],
-    switches: Sequence[SwitchType],
-    flags: Iterable[int],
-    edges: Iterable[tuple[int, int]],
-) -> list[int]:
-    """Per vertex v, with vertex w at bit[w]: the vertices v's button
-    toggles, ORed with v's flag.  Each edge is given once, in any
-    orientation; a repeated edge leaves its bits as they were, and an
-    endpoint >= len(bit) raises IndexError."""
-    plus = SwitchType.SIGMA_PLUS
-    # a row with no flag starts as its table entry: b | 0 would copy a wide int
-    rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, flags)]
-    for i, j in edges:
-        rows[i] |= bit[j]
-        rows[j] |= bit[i]
-    return rows
-
-
 # a lamp's state character to its lamp-off flag, one byte each
 _OFF_FLAG = bytes.maketrans(b"01", b"\x01\x00")
 
@@ -227,10 +207,20 @@ def _packed_system(
     initially_on: BitVec,
     edges: Iterable[tuple[int, int]],
 ) -> list[int]:
-    """The system's packed rows (see ``Instance._packed_rows``): the lamp-off
-    flag is bit 0."""
+    """The system's packed rows (see ``Instance._packed_rows``): per vertex
+    v, the vertices v's button toggles, and the lamp-off flag at bit 0.
+    Each edge is given once, in either orientation; a repeated edge
+    leaves its bits as they were, and an endpoint >= n raises
+    IndexError."""
+    bit = _column_bits(n)
     off = initially_on.to01().encode().translate(_OFF_FLAG)
-    return _toggle_rows(_column_bits(n), switches, off, edges)
+    plus = SwitchType.SIGMA_PLUS
+    # a row with no flag starts as its table entry: b | 0 would copy a wide int
+    rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, off)]
+    for i, j in edges:
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    return rows
 
 
 class Solution:
@@ -247,6 +237,8 @@ class Solution:
     def __init__(
         self, press: BitVec, decomposition: EchelonDecomposition, opt: int | None = None
     ) -> None:
+        if press.n != decomposition.n:
+            raise ValueError(f"press vector length {press.n}, expected {decomposition.n}")
         if opt is not None and not decomposition.g1 <= opt <= press.weight:
             raise ValueError(
                 f"opt {opt} outside [g1={decomposition.g1}, weight={press.weight}]"
@@ -272,16 +264,11 @@ def build_system(inst: Instance) -> tuple[BitMat, BitVec]:
     flags the lamps that still have to flip, i.e. the complement of
     initially_on.  A press vector u lights every lamp iff A.u = B.  Both
     are in vertex order, for API callers; ``approx.solve_approx`` hands
-    ``gf2.solve`` the packed rows instead.  A is built from the edges, or
-    read out of the packed rows where the instance holds them, on every
-    call.
+    ``gf2.solve`` the packed rows instead.  A is read out of the packed
+    rows on every call.
     """
     n = inst.n
-    if inst._rows is None:
-        bit = [1 << v for v in range(n)]
-        masks = _toggle_rows(bit, inst.switches, repeat(0), inst.edges)
-    else:
-        masks = [_unmirror(row, n) for row in inst._rows]
+    masks = [_unmirror(row, n) for row in inst._packed_rows()]
     return BitMat(n, n, masks), BitVec(n, ~inst.initially_on.bits & ((1 << n) - 1))
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -82,6 +83,20 @@ class TestParseErrors:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_instance("lamps 2\nswitches ++\non 00\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("allones 2\nswitch ++\non 00\n", 2, "expected 'switches <string of +/->'"),
+            ("allones 2\nswitches ++ x\non 00\n", 2, "expected 'switches <string of +/->'"),
+            ("allones 2\nswitches ++\nof 00\n", 3, "expected 'on <string of 0/1>'"),
+            ("allones 2\n\n# c\nswitches ++\non 00 1\n", 5, "expected 'on <string of 0/1>'"),
+        ],
+    )
+    def test_bad_keyword_line(self, text, line, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_instance(text)
+        assert exc.value.line == line
 
     def test_bad_switch_character(self):
         with pytest.raises(ParseError, match="not '\\+' or '-'"):

@@ -50,6 +50,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="must be a BitVec"):
             Instance(2, [], None, on)
 
+    @pytest.mark.parametrize("switches", [("+", "+"), (True, False)])
+    def test_rejects_switches_that_are_not_switch_types(self, switches):
+        with pytest.raises(ValueError, match="switches must be SwitchType values"):
+            Instance(2, [], switches)
+
     def test_integer_like_endpoints_become_ints(self):
         for edge in [(True, 2), (np.int64(1), np.uint8(2))]:
             inst = Instance(3, [(0, 2), edge])
@@ -215,3 +220,9 @@ def test_with_opt_accepts_only_g1_to_weight():
     for opt in (0, 4):
         with pytest.raises(ValueError, match=f"opt {opt} outside"):
             sol.with_opt(opt)
+
+
+def test_solution_rejects_a_press_set_of_another_length():
+    dec = EchelonDecomposition(BitMat(2, 5, [0b00010, 0b01000]), BitVec.from01("10000"))
+    with pytest.raises(ValueError, match="press vector length 3, expected 5"):
+        Solution(BitVec(3, 0b111), dec)
