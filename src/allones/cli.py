@@ -4,6 +4,10 @@ Exit codes: 0 success/feasible, 2 infeasible (or lamps left off), 1 usage
 or parse errors (or bench found violations), and 1 with nothing on stderr
 when stdout is closed before the output is written.  JSON output is
 byte-stable for identical inputs and flags.
+
+Each call builds only the invoked command's parser, from one builder per
+subcommand in ``_COMMANDS``; the top-level help and an unknown command
+get all of them.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -250,13 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_USAGE if any(report["results"]["violations"].values()) else EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="allones",
-        description="Feasibility and small press sets for lamp-lighting instances.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_solve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
     p.add_argument(
@@ -270,11 +268,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_solve)
 
+
+def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("verify", help="simulate a press set against an instance file")
     p.add_argument("file")
     p.add_argument("press", help="comma-separated vertex indices ('-' for none)")
     p.set_defaults(func=_cmd_verify)
 
+
+def _add_gen(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "gen",
         help="emit an instance file on stdout",
@@ -289,6 +291,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--on", metavar="STR", help="override initial lamp states (0/1)")
     p.set_defaults(func=_cmd_gen)
 
+
+def _add_bench(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("bench", help="run the random corpus with invariant checks")
     p.add_argument("--sizes", default="8,10,12", help="comma-separated vertex counts")
     p.add_argument("--trials", type=int, default=100, help="instances per size")
@@ -303,11 +307,34 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_bench)
+
+
+# each subcommand's parser builder, in the order the top-level help lists them
+_COMMANDS = {"solve": _add_solve, "verify": _add_verify, "gen": _add_gen, "bench": _add_bench}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser with every subcommand, or with only ``command``'s.
+
+    A subcommand's parser neither reads nor changes its siblings, so with
+    ``command`` first in argv both parse it alike; the full parser is
+    needed only where the siblings show: the top-level help and the
+    invalid-choice error, which lists them."""
+    parser = _Parser(
+        prog="allones",
+        description="Feasibility and small press sets for lamp-lighting instances.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in _COMMANDS.values() if command is None else (_COMMANDS[command],):
+        add(sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no argument, -h, an unknown or an abbreviated command: the full parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         status = args.func(args)
         # a closed stdout shows here at the latest, not at exit

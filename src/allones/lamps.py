@@ -10,10 +10,10 @@ The instance's linear system A.u = B has one row per vertex v: the
 vertices v's button toggles, and whether lamp v is off.  Its rows are
 packed in the layout ``gf2.solve``'s elimination reads (``gf2`` owns
 it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
-bit 0), so the solve path uses them as they are; ``edges``,
-``simulate_presses`` and ``build_system`` read them back in vertex
-order with ``_unmirror``.  ``_packed_system`` is the one builder of
-these rows.
+bit 0), so the solve path uses them as they are; ``simulate_presses``
+and ``build_system`` read them back in vertex order with ``_unmirror``,
+and ``edges`` reads each row's vertices above its own top-down.
+``_packed_system`` is the one builder of these rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from operator import index
 
-from .gf2 import BitMat, BitVec, EchelonDecomposition, _column_bits, _unmirror
+from .gf2 import BitMat, BitVec, EchelonDecomposition, _column_bits, _row_bytes, _unmirror
 
 
 class SwitchType(Enum):
@@ -158,14 +158,17 @@ class Instance:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as a sorted tuple of (min, max) pairs."""
         if self._edges is None:
+            # vertex j sits at bit top - j, so bits 1 to top - i - 1 are
+            # row i's vertices above i (bit 0 is the lamp-off flag), and
+            # highest bit first, (i, j) comes out in sorted order
+            top = 8 * _row_bytes(self.n) - 1
             edges = []
             for i, row in enumerate(self._rows):
-                # row i's vertices above i, lowest first: (i, j) in sorted order
-                row = _unmirror(row, self.n) >> (i + 1)
+                row &= (1 << (top - i)) - 2
                 while row:
-                    low = row & -row
-                    edges.append((i, i + low.bit_length()))
-                    row ^= low
+                    k = row.bit_length() - 1
+                    edges.append((i, top - k))
+                    row ^= 1 << k
             self._edges = tuple(edges)
         return self._edges
 

@@ -618,3 +618,76 @@ class TestUsage:
         a = run_cli("solve", k2_file, "--output", "json")
         b = run_cli("solve", k2_file, "--output", "json")
         assert a.stdout == b.stdout
+
+
+# per subcommand, argv after the command name: valid flags, help, an
+# unknown flag, a bad int, a missing positional or value, an extra
+# positional (gen's params take any number, so its "extra" parses)
+PARSE_CASES = {
+    "solve": {
+        "valid": ["k2.ao", "--exact-limit", "3", "--output", "json"],
+        "defaults": ["k2.ao"],
+        "help": ["-h"],
+        "unknown-flag": ["k2.ao", "--bogus"],
+        "bad-int": ["k2.ao", "--exact-limit", "x"],
+        "bad-choice": ["k2.ao", "--output", "xml"],
+        "missing": [],
+        "extra": ["k2.ao", "more"],
+    },
+    "verify": {
+        "valid": ["k2.ao", "0,1"],
+        "help": ["--help"],
+        "unknown-flag": ["k2.ao", "0", "--bogus"],
+        "missing": ["k2.ao"],
+        "extra": ["k2.ao", "0", "more"],
+    },
+    "gen": {
+        "valid": ["grid", "5", "5", "--seed", "3", "--switches", "+-", "--on", "01"],
+        "help": ["-h"],
+        "unknown-flag": ["path", "4", "--bogus"],
+        "bad-int": ["tree", "9", "--seed", "x"],
+        "missing": [],
+        "extra": ["grid", "5", "5", "6"],
+    },
+    "bench": {
+        "valid": ["--sizes", "8,9", "--trials", "3", "--seed", "1", "--oracle-limit", "5"],
+        "defaults": [],
+        "help": ["-h"],
+        "unknown-flag": ["--bogus"],
+        "bad-int": ["--trials", "x"],
+        "missing": ["--sizes"],
+        "extra": ["more"],
+    },
+}
+
+
+class TestParserBuild:
+    """A call builds only its command's parser, which parses the command's
+    argv exactly as the full parser does."""
+
+    @staticmethod
+    def outcome(parser, argv, capsys):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[cmd, *rest] for cmd, cases in PARSE_CASES.items() for rest in cases.values()],
+        ids=[f"{cmd}-{case}" for cmd, cases in PARSE_CASES.items() for case in cases],
+    )
+    def test_one_command_parser_parses_like_the_full_one(self, argv, capsys):
+        full = self.outcome(cli._build_parser(), argv, capsys)
+        assert self.outcome(cli._build_parser(argv[0]), argv, capsys) == full
+
+    def test_solve_builds_no_other_parser(self, k2_file, monkeypatch, capsys):
+        def refuse(sub):
+            raise AssertionError("solve built another command's parser")
+
+        for name in ("verify", "gen", "bench"):
+            monkeypatch.setitem(cli._COMMANDS, name, refuse)
+        assert cli.main(["solve", k2_file, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True

@@ -330,6 +330,27 @@ class TestTwoForms:
             press = BitVec(inst.n, rng.bits(inst.n))
             assert simulate_presses(parsed, press) == simulate_presses(inst, press)
 
+    # n = 7 fills one row byte to its last bit, 8 opens a second byte, 15
+    # and 16 fill and pass it, 17 opens a third
+    @pytest.mark.parametrize("n, grid", [
+        (7, (7, 1)), (8, (4, 2)), (9, (3, 3)), (15, (5, 3)), (16, (4, 4)), (17, (17, 1)),
+    ])
+    def test_parsed_edges_agree_at_every_row_padding(self, n, grid):
+        rng = SplitMix64(n)
+        built = [
+            gen_path(n), gen_cycle(n), gen_complete(n), gen_grid(*grid),
+            gen_random_gnp(n, 0.5, seed=n), gen_random_tree(n, seed=n),
+        ]
+        for inst in built:
+            switches = tuple(
+                SwitchType.SIGMA if rng.below(2) else SwitchType.SIGMA_PLUS
+                for _ in range(n)
+            )
+            inst = Instance(n, inst.edges, switches, BitVec(n, rng.bits(n)))
+            parsed = _parse_canonical(render_instance(inst))
+            assert parsed._edges is None
+            assert parsed.edges == inst.edges
+
     def test_bulk_path_keeps_masks_and_derives_edges(self):
         inst = gen_random_mixed(30, 0.5, seed=17)
         parsed = _parse_canonical(render_instance(inst))
