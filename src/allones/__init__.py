@@ -10,17 +10,7 @@ the rank of the press-effect matrix and opt the true minimum.
 from .approx import solve_approx, solve_from_decomposition
 from .exact import exact_by_nullspace, exact_by_press_enumeration
 from .gf2 import BitMat, BitVec, solve
-from .instance_io import (
-    ParseError,
-    gen_complete,
-    gen_cycle,
-    gen_grid,
-    gen_path,
-    gen_random_gnp,
-    gen_random_tree,
-    parse_instance,
-    render_instance,
-)
+from .instance_io import ParseError, parse_instance, render_instance
 from .lamps import (
     Instance,
     Solution,
@@ -56,3 +46,13 @@ __all__ = [
     "solve_approx",
     "solve_from_decomposition",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ not bound above are generators, loaded on first
+    # use, so `import allones` compiles neither them nor the gen command
+    if name in __all__:
+        from . import generators
+
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,21 +1,27 @@
-"""Random-corpus benchmark: invariant assertions, ratio stats, timings.
+"""The `bench` command: random corpus, invariant assertions, ratio stats, timings.
 
 Every instance in the corpus is solved and checked against the solver's
 guarantees (feasibility of the press set, both weight bounds, the
 per-part majority bound, and agreement with the exact oracles on small
-instances), so a bench run doubles as a correctness sweep.
+instances), so a bench run doubles as a correctness sweep.  Only `allones
+bench` loads this module and json, and it loads the CLI only when it runs.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 import time
 from collections.abc import Sequence
 
 from .approx import solve_approx
-from .exact import exact_by_nullspace, exact_by_press_enumeration
-from .instance_io import SplitMix64, gen_random_mixed
+from .exact import PRESS_LIMIT, exact_by_nullspace, exact_by_press_enumeration
+from .generators import GEN_LIMIT, SplitMix64, gen_random_mixed
+from .instance_io import _clip
 from .lamps import is_all_on, simulate_presses
+
+DEFAULT_ORACLE_LIMIT = 12
 
 P_VALUES = (0.2, 0.5, 0.8)
 VIOLATION_KINDS = (
@@ -169,3 +175,49 @@ def render_report(report: dict) -> str:
         f"solve ms: p50 {tim['p50']}  p90 {tim['p90']}  p99 {tim['p99']}  max {tim['max']}"
     )
     return "\n".join(lines) + "\n"
+
+
+def _cmd_bench(args) -> int:
+    from .cli import EXIT_OK, EXIT_USAGE, _fail, _out_of_range
+
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",")]
+    except ValueError:
+        return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
+    if min(sizes) < 1:
+        return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
+    if bad := _out_of_range("--trials", args.trials, 1):
+        return _fail(bad)
+    # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
+    # holds n-bit masks: each instance costs about n squared, and every
+    # size is drawn --trials times
+    if args.trials * sum(n + n * (n - 1) // 2 for n in sizes) > GEN_LIMIT:
+        return _fail(
+            f"--sizes {_clip(args.sizes)!r} with --trials {_clip(str(args.trials), 20)}"
+            f" has more than {GEN_LIMIT} vertices plus vertex pairs"
+        )
+    if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):
+        return _fail(bad)
+    report = run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
+    if args.output == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        sys.stdout.write(render_report(report))
+    return EXIT_USAGE if any(report["results"]["violations"].values()) else EXIT_OK
+
+
+def _add_bench(sub) -> None:
+    p = sub.add_parser("bench", help="run the random corpus with invariant checks")
+    p.add_argument("--sizes", default="8,10,12", help="comma-separated vertex counts")
+    p.add_argument("--trials", type=int, default=100, help="instances per size")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--oracle-limit",
+        type=int,
+        default=DEFAULT_ORACLE_LIMIT,
+        metavar="N",
+        help="compare against the exact oracles when n is at most N"
+        f" (default {DEFAULT_ORACLE_LIMIT}, at most {PRESS_LIMIT})",
+    )
+    p.add_argument("--output", choices=("text", "json"), default="text")
+    p.set_defaults(func=_cmd_bench)

@@ -1,4 +1,4 @@
-"""Command-line surface: solve, verify, gen, bench.
+"""Command-line surface: the shared plumbing and the solve and verify commands.
 
 Exit codes: 0 success/feasible, 2 infeasible (or lamps left off), 1 usage
 or parse errors (or bench found violations), and 1 with nothing on stderr
@@ -7,7 +7,9 @@ byte-stable for identical inputs and flags.
 
 Each call builds only the invoked command's parser, from one builder per
 subcommand in ``_COMMANDS``; the top-level help and an unknown command
-get all of them.  Nothing is cached between calls.
+get all of them.  The gen and bench commands live in ``generators`` and
+``bench``, loaded only when their parser is built, so a solve or verify
+compiles neither.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -16,24 +18,12 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from importlib import import_module
 
 from .approx import solve_approx
-from .exact import NULLSPACE_LIMIT, PRESS_LIMIT, exact_by_nullspace
+from .exact import NULLSPACE_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
-from .instance_io import (
-    VERTEX_LIMIT,
-    ParseError,
-    _clip,
-    gen_complete,
-    gen_cycle,
-    gen_grid,
-    gen_path,
-    gen_random_gnp,
-    gen_random_tree,
-    parse_instance,
-    parse_switch_string,
-    render_instance,
-)
+from .instance_io import ParseError, _clip, parse_instance
 from .lamps import Instance, simulate_presses
 
 EXIT_OK = 0
@@ -41,11 +31,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 DEFAULT_EXACT_LIMIT = 16
-DEFAULT_ORACLE_LIMIT = 12
-
-# most vertices plus edges `gen` builds (for gnp, vertex pairs drawn);
-# at the limit, generating and rendering allocate about 190 MiB
-GEN_LIMIT = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,81 +164,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    # per family: parameter types, vertices plus edges, generator
-    families = {
-        "path": ((int,), lambda n: 2 * n - 1, gen_path),
-        "cycle": ((int,), lambda n: 2 * n if n > 2 else 2 * n - 1, gen_cycle),
-        "complete": ((int,), lambda n: n + n * (n - 1) // 2, gen_complete),
-        "grid": ((int, int), lambda w, h: 3 * w * h - w - h, gen_grid),
-        "gnp": (
-            (int, float),
-            # one draw per vertex pair, whatever p is
-            lambda n, p: n + n * (n - 1) // 2,
-            lambda n, p: gen_random_gnp(n, p, args.seed),
-        ),
-        "tree": ((int,), lambda n: 2 * n - 1, lambda n: gen_random_tree(n, args.seed)),
-    }
-    if args.family not in families:
-        return _fail(
-            f"unknown family {_clip(args.family)!r} (choose from {', '.join(families)})"
-        )
-    types, size, build = families[args.family]
-    if len(args.params) != len(types):
-        return _fail(f"family {args.family!r} takes {len(types)} parameter(s)")
-    try:
-        params = [t(p) for t, p in zip(types, args.params)]
-        if size(*params) > GEN_LIMIT:
-            return _fail(
-                f"{args.family} {_clip(' '.join(args.params))} has more than"
-                f" {GEN_LIMIT} vertices plus edges"
-            )
-        inst = build(*params)
-        if args.switches is not None or args.on is not None:
-            switches = (
-                parse_switch_string(args.switches) if args.switches is not None else None
-            )
-            on = BitVec.from01(args.on) if args.on is not None else None
-            inst = Instance(inst.n, inst.edges, switches, on)
-    except ValueError as exc:
-        return _fail(str(exc))
-    sys.stdout.write(render_instance(inst))
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",")]
-    except ValueError:
-        return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
-    if min(sizes) < 1:
-        return _fail(f"--sizes {_clip(args.sizes)!r} lists a size below 1")
-    if bad := _out_of_range("--trials", args.trials, 1):
-        return _fail(bad)
-    # G(n, p) draws once per vertex pair, as gen gnp does, and the solve
-    # holds n-bit masks: each instance costs about n squared, and every
-    # size is drawn --trials times
-    if args.trials * sum(n + n * (n - 1) // 2 for n in sizes) > GEN_LIMIT:
-        return _fail(
-            f"--sizes {_clip(args.sizes)!r} with --trials {_clip(str(args.trials), 20)}"
-            f" has more than {GEN_LIMIT} vertices plus vertex pairs"
-        )
-    if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):
-        return _fail(bad)
-    # only bench loads the corpus checker and json, so solve's start pays
-    # for neither
-    from . import bench
-
-    report = bench.run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
-    if args.output == "json":
-        import json
-
-        print(json.dumps(report, indent=2))
-    else:
-        sys.stdout.write(bench.render_report(report))
-    return EXIT_USAGE if any(report["results"]["violations"].values()) else EXIT_OK
-
-
 def _add_solve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
@@ -276,41 +186,14 @@ def _add_verify(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(func=_cmd_verify)
 
 
-def _add_gen(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser(
-        "gen",
-        help="emit an instance file on stdout",
-        description=f"Emit an instance file on stdout, up to {GEN_LIMIT:,} vertices plus"
-        f" edges. solve and verify read at most {VERTEX_LIMIT:,} vertices, so"
-        " larger instances are for the Python API or other tools.",
-    )
-    p.add_argument("family", help="path | cycle | complete | grid | gnp | tree")
-    p.add_argument("params", nargs="*", help="family parameters (e.g. grid W H)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--switches", metavar="STR", help="override switch string (+/-)")
-    p.add_argument("--on", metavar="STR", help="override initial lamp states (0/1)")
-    p.set_defaults(func=_cmd_gen)
-
-
-def _add_bench(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("bench", help="run the random corpus with invariant checks")
-    p.add_argument("--sizes", default="8,10,12", help="comma-separated vertex counts")
-    p.add_argument("--trials", type=int, default=100, help="instances per size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--oracle-limit",
-        type=int,
-        default=DEFAULT_ORACLE_LIMIT,
-        metavar="N",
-        help="compare against the exact oracles when n is at most N"
-        f" (default {DEFAULT_ORACLE_LIMIT}, at most {PRESS_LIMIT})",
-    )
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_bench)
-
-
-# each subcommand's parser builder, in the order the top-level help lists them
-_COMMANDS = {"solve": _add_solve, "verify": _add_verify, "gen": _add_gen, "bench": _add_bench}
+# each subcommand's parser builder, in the order the top-level help lists
+# them; gen's and bench's load their module only when their parser is built
+_COMMANDS = {
+    "solve": _add_solve,
+    "verify": _add_verify,
+    "gen": lambda sub: import_module(".generators", __package__)._add_gen(sub),
+    "bench": lambda sub: import_module(".bench", __package__)._add_bench(sub),
+}
 
 
 def _build_parser(command: str | None = None) -> _Parser:

@@ -1,4 +1,5 @@
-"""Instance text format and the graph generator suite.
+"""Instance text format: parse and render (the generators are in
+allones.generators).
 
 File format (line oriented, '#' starts a comment line):
 
@@ -41,45 +42,6 @@ from collections.abc import Iterator
 
 from .gf2 import BitVec
 from .lamps import EdgeError, Instance, SwitchType
-
-_MASK64 = (1 << 64) - 1
-
-
-class SplitMix64:
-    """splitmix64 PRNG, reimplemented from its reference constants.
-
-    Deterministic and trivially portable, so generated fixtures can be
-    reproduced anywhere from the seed alone.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
-    def bits(self, n: int) -> int:
-        """n random bits packed into an int, 64 per draw, low bits first."""
-        if n < 0:
-            raise ValueError(f"bit count {n} is negative")
-        out = 0
-        filled = 0
-        while filled < n:
-            out |= self.next_u64() << filled
-            filled += 64
-        return out & ((1 << n) - 1)
 
 
 class ParseError(ValueError):
@@ -282,74 +244,3 @@ def render_instance(inst: Instance) -> str:
     out.extend(f"e {i} {j}" for i, j in inst.edges)
     return "\n".join(out) + "\n"
 
-
-def gen_path(n: int) -> Instance:
-    """Path 0-1-...-(n-1); like every generator but gen_random_mixed, it has
-    all '+' switches and all lamps off."""
-    return Instance(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def gen_cycle(n: int) -> Instance:
-    """Cycle on n vertices (degenerates to a path for n <= 2)."""
-    edges = [(v, v + 1) for v in range(n - 1)]
-    if n > 2:
-        edges.append((0, n - 1))
-    return Instance(n, edges)
-
-
-def gen_complete(n: int) -> Instance:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Instance(n, edges)
-
-
-def gen_grid(w: int, h: int) -> Instance:
-    """w x h grid with 4-neighborhood, vertices numbered row-major."""
-    if w < 1 or h < 1:
-        raise ValueError("grid sides must be >= 1")
-    edges = []
-    for y in range(h):
-        for x in range(w):
-            v = y * w + x
-            if x + 1 < w:
-                edges.append((v, v + 1))
-            if y + 1 < h:
-                edges.append((v, v + w))
-    return Instance(w * h, edges)
-
-
-def _gnp_edges(n: int, p: float, rng: SplitMix64) -> list[tuple[int, int]]:
-    """One Bernoulli draw from rng per pair (i, j), i < j, in sorted order."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    threshold = int(p * 2.0**64)
-    draw = rng.next_u64
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < threshold]
-
-
-def gen_random_gnp(n: int, p: float, seed: int) -> Instance:
-    """G(n, p): one Bernoulli draw per pair (i, j), i < j, in sorted order."""
-    return Instance(n, _gnp_edges(n, p, SplitMix64(seed)))
-
-
-def gen_random_tree(n: int, seed: int) -> Instance:
-    """Random recursive tree: vertex v >= 1 attaches to a uniform earlier vertex."""
-    rng = SplitMix64(seed)
-    edges = [(rng.below(v), v) for v in range(1, n)]
-    return Instance(n, edges)
-
-
-def gen_random_mixed(n: int, p: float, seed: int) -> Instance:
-    """G(n, p) with random switch types and random initial lamp states.
-
-    Draw order: edges as in gen_random_gnp, then n switch bits (set bit =
-    '-' switch), then n state bits.
-    """
-    rng = SplitMix64(seed)
-    edges = _gnp_edges(n, p, rng)
-    sw_bits = rng.bits(n)
-    switches = tuple(
-        SwitchType.SIGMA if (sw_bits >> v) & 1 else SwitchType.SIGMA_PLUS
-        for v in range(n)
-    )
-    initially_on = BitVec(n, rng.bits(n))
-    return Instance(n, edges, switches, initially_on)

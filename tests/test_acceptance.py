@@ -15,14 +15,9 @@ import pytest
 import oracles
 from allones.approx import greedy_assign, solve_approx, solve_from_decomposition
 from allones.exact import exact_by_nullspace, exact_by_press_enumeration
+from allones.generators import SplitMix64, gen_grid, gen_random_gnp, gen_random_mixed
 from allones.gf2 import BitVec, column_echelon_grouped, solve
-from allones.instance_io import (
-    SplitMix64,
-    gen_grid,
-    gen_random_gnp,
-    gen_random_mixed,
-    render_instance,
-)
+from allones.instance_io import render_instance
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
 from helpers import answer, mat_vec
 

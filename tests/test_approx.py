@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from allones.approx import greedy_assign, solve_approx, solve_from_decomposition
 from allones.exact import _part_dp, exact_by_nullspace, exact_by_press_enumeration
-from allones.gf2 import BitMat, BitVec, EchelonDecomposition
-from allones.instance_io import (
+from allones.generators import (
     SplitMix64,
     gen_complete,
     gen_grid,
     gen_random_gnp,
     gen_random_mixed,
     gen_random_tree,
-    parse_instance,
 )
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition
+from allones.instance_io import parse_instance
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
 from helpers import answer, mat_vec, random_instance
 

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from allones import approx, bench, cli, gf2, instance_io, lamps
-from allones.instance_io import gen_complete, gen_grid, gen_random_tree, render_instance
+from allones import approx, bench, cli, generators, gf2, instance_io, lamps
+from allones.generators import gen_complete, gen_grid, gen_random_tree
+from allones.instance_io import render_instance
 
 FEASIBLE_KEYS = {
     "feasible",
@@ -323,11 +324,11 @@ class TestGen:
 
         for name in ("gen_path", "gen_cycle", "gen_complete", "gen_grid",
                      "gen_random_gnp", "gen_random_tree"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(generators, name, refuse)
         assert cli.main(["gen", *params]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus edges\n")
+        assert err.endswith(f" has more than {generators.GEN_LIMIT} vertices plus edges\n")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -339,9 +340,23 @@ class TestGen:
         built = []
         for name in ("gen_path", "gen_cycle", "gen_complete", "gen_grid",
                      "gen_random_gnp", "gen_random_tree"):
-            monkeypatch.setattr(cli, name, lambda *args: built.append(args) or gen_complete(2))
+            monkeypatch.setattr(generators, name, lambda *args: built.append(args) or gen_complete(2))
         assert cli.main(["gen", *params]) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["grid", "-1000", "-1000"], "grid sides must be >= 1"),
+            (["complete", "-2000"], "an instance needs at least one vertex"),
+            (["gnp", "-5000", "0.5"], "an instance needs at least one vertex"),
+        ],
+    )
+    def test_negative_count_meets_the_generator_check(self, capsys, params, message):
+        # the size formulas are quadratic in the counts, so a negative
+        # count must not be blamed on the size limit
+        assert cli.main(["gen", *params]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestGenAndVertexLimit:
@@ -495,7 +510,7 @@ class TestBench:
             assert cli.main(["bench", *flags]) == 1
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.endswith(f" has more than {cli.GEN_LIMIT} vertices plus vertex pairs\n")
+            assert err.endswith(f" has more than {bench.GEN_LIMIT} vertices plus vertex pairs\n")
             assert len(err.splitlines()) == 1 and len(err) < 200
         with pytest.raises(Reached) as reached:
             cli.main(["bench", "--sizes", "1413", "--trials", "1"])
@@ -691,3 +706,52 @@ class TestParserBuild:
             monkeypatch.setitem(cli._COMMANDS, name, refuse)
         assert cli.main(["solve", k2_file, "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+class TestModuleSplit:
+    """gen and bench live in their own modules, which solve and verify never load."""
+
+    def test_solve_and_verify_load_no_gen_or_bench_code(self, k2_file):
+        code = (
+            "import contextlib, io, sys; import allones.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    allones.cli.main(['solve', {k2_file!r}, '--output', 'json'])\n"
+            f"    allones.cli.main(['verify', {k2_file!r}, '0'])\n"
+            "names = {'SplitMix64', 'gen_grid', 'run_bench', '_cmd_gen', '_cmd_bench'}\n"
+            "print(sorted(m for m, mod in list(sys.modules.items())\n"
+            "             if m.split('.')[0] == 'allones' and names & set(vars(mod))))\n"
+            "print(sorted({'allones.bench', 'allones.generators'} & set(sys.modules)))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n[]\n"
+
+    def test_package_exports_are_pinned_and_resolve(self):
+        import allones
+
+        assert allones.__all__ == [
+            "BitMat", "BitVec", "Instance", "ParseError", "Solution", "SwitchType",
+            "build_system", "exact_by_nullspace", "exact_by_press_enumeration",
+            "gen_complete", "gen_cycle", "gen_grid", "gen_path", "gen_random_gnp",
+            "gen_random_tree", "is_all_on", "parse_instance", "render_instance",
+            "simulate_presses", "solve", "solve_approx", "solve_from_decomposition",
+        ]
+        for name in allones.__all__:
+            assert getattr(allones, name) is not None
+        assert allones.gen_grid is generators.gen_grid
+        with pytest.raises(AttributeError):
+            allones.SplitMix64
+        namespace: dict = {}
+        exec("from allones import *", namespace)
+        assert {k: v for k, v in namespace.items() if k != "__builtins__"} == {
+            name: getattr(allones, name) for name in allones.__all__
+        }
+
+    def test_package_import_loads_no_cli(self):
+        code = (
+            "import sys; import allones\n"
+            "print(sorted({'allones.cli', 'allones.generators', 'argparse'} & set(sys.modules)))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"

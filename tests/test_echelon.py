@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from allones.generators import gen_random_tree
 from allones.gf2 import (
     BitMat,
     BitVec,
@@ -13,7 +14,6 @@ from allones.gf2 import (
     column_echelon_grouped,
     solve,
 )
-from allones.instance_io import gen_random_tree
 from allones.lamps import build_system
 from helpers import bitmat, mat_vec
 

@@ -9,8 +9,8 @@ import oracles
 from allones import exact
 from allones.approx import solve_approx
 from allones.exact import exact_by_nullspace, exact_by_press_enumeration
+from allones.generators import gen_complete, gen_grid, gen_random_mixed, gen_random_tree
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, solve
-from allones.instance_io import gen_complete, gen_grid, gen_random_mixed, gen_random_tree
 from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
 from helpers import bitmat, mat_vec, random_instance
 

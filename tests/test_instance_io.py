@@ -7,12 +7,8 @@ import re
 import pytest
 
 from allones import instance_io
-from allones.gf2 import BitVec
-from allones.instance_io import (
-    ParseError,
+from allones.generators import (
     SplitMix64,
-    _parse_canonical,
-    _parse_lines,
     gen_complete,
     gen_cycle,
     gen_grid,
@@ -20,6 +16,12 @@ from allones.instance_io import (
     gen_random_gnp,
     gen_random_mixed,
     gen_random_tree,
+)
+from allones.gf2 import BitVec
+from allones.instance_io import (
+    ParseError,
+    _parse_canonical,
+    _parse_lines,
     parse_instance,
     parse_switch_string,
     render_instance,

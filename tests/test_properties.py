@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from allones import gf2
 from allones.approx import solve_approx
-from allones.gf2 import BitVec, _mirror, _row_bytes, column_echelon_grouped
-from allones.instance_io import (
-    ParseError,
-    _parse_canonical,
-    _parse_lines,
+from allones.generators import (
     gen_complete,
     gen_cycle,
     gen_grid,
@@ -18,6 +14,12 @@ from allones.instance_io import (
     gen_random_gnp,
     gen_random_mixed,
     gen_random_tree,
+)
+from allones.gf2 import BitVec, _mirror, _row_bytes, column_echelon_grouped
+from allones.instance_io import (
+    ParseError,
+    _parse_canonical,
+    _parse_lines,
     parse_instance,
     render_instance,
 )
