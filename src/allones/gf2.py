@@ -204,35 +204,31 @@ class EchelonDecomposition:
         return f"EchelonDecomposition(n={self.n}, m={self.m}, part_sizes={sizes})"
 
 
-def _basis(rows: list[int], width: int) -> list[int]:
+def _basis(rows: Sequence[int], width: int) -> list[int]:
     """Forward elimination into a basis keyed by bit length.
 
     Rows are bit-mirrored (see ``solve``): the leading column of a
     row is its highest set bit, so slot k of the result holds the row whose
     bit length is k (slot 0 stays 0; 0 marks an empty slot), and no row
-    is longer than ``width`` bits.  Rows are popped off the end of
-    ``rows``, which is left empty, so no row outlives its insertion.  Each
-    row is XORed with the slot row of its bit length until it lands in an
-    empty slot or cancels to zero; every XOR clears the row's top bit, so
-    the row gets shorter and the next step costs less, and a row only ever
-    meets the rows that share its leading columns: the cost is the fill,
-    not a scan of every row per pivot.  The filled slots span the row space
-    of the input, and their count is its rank, whatever the order of the
-    rows; the order decides the fill, and light rows first keeps it small
-    (structured Gaussian elimination; LaMacchia & Odlyzko, CRYPTO 1990).
+    is longer than ``width`` bits.  Rows are inserted last to first, and
+    ``rows`` is left as it was.  Each row is XORed with the slot row of
+    its bit length until it lands in an empty slot or cancels to zero;
+    every XOR clears the row's top bit, so the row gets shorter and the
+    next step costs less, and a row only ever meets the rows that share
+    its leading columns: the cost is the fill, not a scan of every row per
+    pivot.  The filled slots span the row space of the input, and their
+    count is its rank, whatever the order of the rows; the order decides
+    the fill, and light rows first keeps it small (structured Gaussian
+    elimination; LaMacchia & Odlyzko, CRYPTO 1990).
     """
     # a list indexed by bit_length, not a dict keyed by the power of two:
     # hashing a wide int costs O(words) per lookup
     basis = [0] * (width + 1)
-    while rows:
-        row = rows.pop()
-        while row:
-            k = row.bit_length()
-            piv = basis[k]
-            if not piv:
-                basis[k] = row
-                break
+    for row in reversed(rows):
+        # a row that cancels has bit length 0 and lands in slot 0, which stays 0
+        while piv := basis[k := row.bit_length()]:
             row ^= piv
+        basis[k] = row
     return basis
 
 
@@ -385,7 +381,7 @@ def solve(
     else:
         rows, cols = a, b
     width = 8 * _row_bytes(cols)
-    # _basis pops from the end, so it meets the lightest rows first, ties
+    # _basis inserts last to first, so it meets the lightest rows first, ties
     # to the highest index (a reverse sort stays stable): light rows carry
     # few bits into their slots, and on a banded system such as a grid the
     # reversed order fills far less than the natural one.  The order

@@ -451,3 +451,46 @@ def test_solve_is_row_order_invariant(data):
     pa = BitMat(a.rows, a.cols, [a.packed_rows[i] for i in perm])
     pb = BitVec(b.n, sum(b[i] << k for k, i in enumerate(perm)))
     assert solve(pa, pb) == solve(a, b)
+
+
+def _basis_by_pop(rows, width):
+    """The reference for gf2._basis: the same insertion, popping the rows
+    off the end of ``rows`` (which it empties) one step per branch."""
+    basis = [0] * (width + 1)
+    while rows:
+        row = rows.pop()
+        while row:
+            k = row.bit_length()
+            piv = basis[k]
+            if not piv:
+                basis[k] = row
+                break
+            row ^= piv
+    return basis
+
+
+@st.composite
+def basis_inputs(draw):
+    """(rows, width): rows of at most width bits, up to three machine words
+    wide, with zero rows and repeats of earlier rows, which cancel."""
+    width = draw(st.integers(1, 192))
+    row = st.integers(0, (1 << width) - 1)
+    rows = draw(st.lists(st.one_of(st.just(0), row), max_size=40))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=len(rows)))
+    return draw(st.permutations(rows)), width
+
+
+@settings(deadline=None)
+@given(basis_inputs())
+@example(([], 1))
+@example(([0, 0], 1))
+@example(([0b11, 0b01, 0b10, 0b11], 2))
+def test_basis_matches_the_pop_loop(case):
+    rows, width = case
+    slots = _basis_by_pop(list(rows), width)
+    passed = list(rows)
+    assert gf2._basis(passed, width) == slots
+    assert slots[0] == 0
+    # _basis reads its input and leaves it as the caller passed it
+    assert passed == rows
