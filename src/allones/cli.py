@@ -5,11 +5,14 @@ or parse errors (or bench found violations), and 1 with nothing on stderr
 when stdout is closed before the output is written.  JSON output is
 byte-stable for identical inputs and flags.
 
-Each call builds only the invoked command's parser, from one builder per
-subcommand in ``_COMMANDS``; the top-level help and an unknown command
-get all of them.  The gen and bench commands live in ``generators`` and
-``bench``, loaded only when their parser is built, so a solve or verify
-compiles neither.  Nothing is cached between calls.
+When argv names a command, that command's builder in ``_COMMANDS``
+builds it as a standalone parser, which parses the rest of argv; the
+full parser, with every command, is built only for no argument, a
+top-level -h, an unknown or abbreviated command, and to report
+arguments the command's parser left over.  The gen and bench
+commands live in ``generators`` and ``bench``, loaded only when their
+parser is built, so a solve or verify compiles neither.  Nothing is
+cached between calls.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_INFEASIBLE
 
 
-def _add_solve(sub: argparse._SubParsersAction) -> None:
+def _add_solve(sub: argparse._SubParsersAction | _Standalone) -> None:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("file")
     p.add_argument(
@@ -179,7 +182,7 @@ def _add_solve(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(func=_cmd_solve)
 
 
-def _add_verify(sub: argparse._SubParsersAction) -> None:
+def _add_verify(sub: argparse._SubParsersAction | _Standalone) -> None:
     p = sub.add_parser("verify", help="simulate a press set against an instance file")
     p.add_argument("file")
     p.add_argument("press", help="comma-separated vertex indices ('-' for none)")
@@ -196,28 +199,53 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The CLI's parser with every subcommand, or with only ``command``'s.
+class _Standalone:
+    """Stands in for the subparsers action a builder in ``_COMMANDS`` adds
+    its command to: the parser it adds is whole, named as the full parser
+    names the command's, and sets ``command`` as the full parser does."""
 
-    A subcommand's parser neither reads nor changes its siblings, so with
-    ``command`` first in argv both parse it alike; the full parser is
-    needed only where the siblings show: the top-level help and the
-    invalid-choice error, which lists them."""
+    def add_parser(self, name: str, help: str | None = None, **kw) -> _Parser:
+        self.parser = _Parser(prog="allones " + name, **kw)
+        self.parser.set_defaults(command=name)
+        return self.parser
+
+
+def _build_parser() -> _Parser:
+    """The CLI's parser with every subcommand.  ``main`` needs it only where
+    the siblings show, in the top-level help and the invalid-choice error,
+    which lists them, and for the top-level prog on leftover arguments."""
     parser = _Parser(
         prog="allones",
         description="Feasibility and small press sets for lamp-lighting instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in _COMMANDS.values() if command is None else (_COMMANDS[command],):
+    for add in _COMMANDS.values():
         add(sub)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` gives, help, errors and exit
+    codes included, building that parser only where it is needed.
+
+    A subcommand's parser neither reads nor changes its siblings, and the
+    full parser hands it all of argv after the command name, so the
+    command's standalone parser parses that alike.  Leftover arguments
+    are reported by the full parser, which names them under its prog."""
+    if not argv or argv[0] not in _COMMANDS:
+        # no argument, -h, an unknown or an abbreviated command
+        return _build_parser().parse_args(argv)
+    standalone = _Standalone()
+    _COMMANDS[argv[0]](standalone)
+    args, extra = standalone.parser.parse_known_args(argv[1:])
+    # leftovers: the full parser reports them and exits
+    return _build_parser().parse_args(argv) if extra else args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # no argument, -h, an unknown or an abbreviated command: the full parser
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    """Run the command argv names (``sys.argv[1:]`` by default) and return
+    its exit code; usage errors exit through ``SystemExit``."""
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.func(args)
         # a closed stdout shows here at the latest, not at exit

@@ -637,7 +637,11 @@ class TestUsage:
 
 # per subcommand, argv after the command name: valid flags, help, an
 # unknown flag, a bad int, a missing positional or value, an extra
-# positional (gen's params take any number, so its "extra" parses)
+# positional (gen's params take any number, so its "extra" parses); and
+# for solve the other argv forms argparse reads: "--flag=value", an
+# abbreviated flag, "--" before a positional, help after one, and
+# unknown flags among valid ones.  A pure literal: tools/argv_digest.py
+# reads it without importing this module
 PARSE_CASES = {
     "solve": {
         "valid": ["k2.ao", "--exact-limit", "3", "--output", "json"],
@@ -648,6 +652,12 @@ PARSE_CASES = {
         "bad-choice": ["k2.ao", "--output", "xml"],
         "missing": [],
         "extra": ["k2.ao", "more"],
+        "equals-form": ["k2.ao", "--output=json"],
+        "abbreviated-flag": ["k2.ao", "--exact", "3"],
+        "dash-dash": ["--", "k2.ao"],
+        "help-after-file": ["k2.ao", "-h"],
+        "unknown-between": ["k2.ao", "--output", "json", "--bogus", "--exact-limit", "3"],
+        "two-unknown": ["k2.ao", "--bogus", "--exact-limit", "3", "--also-bogus"],
     },
     "verify": {
         "valid": ["k2.ao", "0,1"],
@@ -677,13 +687,13 @@ PARSE_CASES = {
 
 
 class TestParserBuild:
-    """A call builds only its command's parser, which parses the command's
-    argv exactly as the full parser does."""
+    """A call that names a command builds that command's parser alone,
+    and parses argv exactly as the full parser does."""
 
     @staticmethod
-    def outcome(parser, argv, capsys):
+    def outcome(parse, argv, capsys):
         try:
-            result = parser.parse_args(argv)
+            result = parse(argv)
         except SystemExit as exc:
             result = exc.code
         out, err = capsys.readouterr()
@@ -695,8 +705,44 @@ class TestParserBuild:
         ids=[f"{cmd}-{case}" for cmd, cases in PARSE_CASES.items() for case in cases],
     )
     def test_one_command_parser_parses_like_the_full_one(self, argv, capsys):
-        full = self.outcome(cli._build_parser(), argv, capsys)
-        assert self.outcome(cli._build_parser(argv[0]), argv, capsys) == full
+        full = self.outcome(cli._build_parser().parse_args, argv, capsys)
+        assert self.outcome(cli._parse_args, argv, capsys) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "FILE", "--output", "json"],
+            ["verify", "FILE", "0"],
+            ["gen", "grid", "2", "2"],
+            ["bench", "--sizes", "4", "--trials", "1"],
+        ],
+        ids=["solve", "verify", "gen", "bench"],
+    )
+    def test_a_valid_command_builds_no_full_parser(self, argv, k2_file, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("built the full parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert cli.main([k2_file if a == "FILE" else a for a in argv]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv, leftover",
+        [
+            (["solve", "FILE", "--bogus"], "--bogus"),
+            (["verify", "FILE", "0", "--bogus"], "--bogus"),
+            (["gen", "path", "4", "--bogus"], "--bogus"),
+            (["solve", "FILE", "--bogus", "--output", "json", "--also-bogus"],
+             "--bogus --also-bogus"),
+        ],
+        ids=["solve", "verify", "gen", "solve-two"],
+    )
+    def test_leftover_arguments_are_named_by_the_full_parser(self, argv, leftover, k2_file, capsys):
+        # one line, under the top-level prog, naming every leftover in order
+        with pytest.raises(SystemExit) as exc:
+            cli.main([k2_file if a == "FILE" else a for a in argv])
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", f"error: allones: unrecognized arguments: {leftover}\n")
 
     def test_solve_builds_no_other_parser(self, k2_file, monkeypatch, capsys):
         def refuse(sub):
