@@ -23,8 +23,12 @@ the process and grown to the largest n parsed so far, turns the endpoint
 tokens into vertex numbers and turns away a leading zero.
 The bulk path makes no edge tuples and sorts nothing: it builds each
 vertex's row of the linear system directly, in the bit-mirrored layout
-the elimination reads.  That row build turns away an endpoint >= n, and
-one popcount over the rows turns away self-loops and repeated edges.
+the elimination reads.  On sparse text it ORs each edge into both of its
+rows; on dense text (see ``lamps.Instance._from_endpoints`` for the
+rule) it ORs each edge into one row and mirrors the rows across their
+anti-diagonal in one bit-matrix transpose.  Either row build turns away
+an endpoint >= n, and one popcount over the rows turns away self-loops
+and repeated edges.
 The Instance derives its sorted edges from the rows only when they are
 read.
 Any other text, and any text the bulk path finds a fault in, goes to the

@@ -13,7 +13,13 @@ it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
 bit 0), so the solve path uses them as they are; ``simulate_presses``
 and ``build_system`` read them back in vertex order with ``_unmirror``,
 and ``edges`` reads each row's vertices above its own top-down.
-``_packed_system`` is the one builder of these rows.
+``_packed_system`` builds these rows by one of two routes.  The edge
+loop ORs each edge into both of its rows.  The dense build ORs each edge
+into one row and adds the other half in one transpose
+(``gf2._or_mirrored``), which costs about w * w bit operations for rows
+of w bits whatever the edge count, and a few w * w-bit ints of transient
+memory.  ``Instance._from_endpoints`` takes it from 200 vertices on, once
+there is an edge per 16 of the w * w bits; every other caller loops.
 """
 
 from __future__ import annotations
@@ -22,7 +28,15 @@ from collections.abc import Iterable, Sequence
 from enum import Enum
 from operator import index
 
-from .gf2 import BitMat, BitVec, EchelonDecomposition, _column_bits, _row_bytes, _unmirror
+from .gf2 import (
+    BitMat,
+    BitVec,
+    EchelonDecomposition,
+    _column_bits,
+    _or_mirrored,
+    _row_bytes,
+    _unmirror,
+)
 
 
 class SwitchType(Enum):
@@ -132,14 +146,22 @@ class Instance:
         Every endpoint must already be a non-negative int, as the bulk
         parser's vertex table guarantees, and switches and initially_on
         must hold n entries.  The graph is kept as the system's packed
-        rows, built straight from the endpoints.  The row build turns away
-        an endpoint >= n, which indexes past its length-n lists, and one
+        rows, built straight from the endpoints: by the dense build when
+        there are at least _DENSE_MIN_N vertices and _DENSE_RATIO times
+        the edge count reaches the row width squared, and by the edge loop
+        otherwise (see ``_packed_system``).  Either build turns away an
+        endpoint >= n, which indexes past its length-n lists, and one
         popcount over the rows finds the other faults: a new edge sets
         exactly two new bits, a repeated edge, in either orientation, none,
-        and a self-loop at most one.
+        and a self-loop at most one, as the dense build's mirror of a
+        diagonal bit is itself.
         """
+        # the transpose costs about width squared bit operations whatever
+        # the edge count, and saves one row OR per edge
+        width = 8 * _row_bytes(n)
+        dense = n >= _DENSE_MIN_N and _DENSE_RATIO * len(left) >= width * width
         try:
-            rows = _packed_system(n, switches, initially_on, zip(left, right))
+            rows = _packed_system(n, switches, initially_on, zip(left, right), dense)
         except IndexError:
             return None
         plus = switches.count(SwitchType.SIGMA_PLUS)
@@ -203,23 +225,42 @@ class Instance:
 # a lamp's state character to its lamp-off flag, one byte each
 _OFF_FLAG = bytes.maketrans(b"01", b"\x01\x00")
 
+# _from_endpoints builds the rows densely (see _packed_system) from this
+# many vertices on, once the edges times this ratio reach the row width
+# squared.  Both are measured crossovers on sorted edges: at an edge per 16
+# of the w * w bits the dense build is break-even at 200 vertices and
+# 10-27% faster from 255 to 3000; below 200 vertices it loses there
+_DENSE_MIN_N = 200
+_DENSE_RATIO = 16
+
 
 def _packed_system(
     n: int,
     switches: Sequence[SwitchType],
     initially_on: BitVec,
     edges: Iterable[tuple[int, int]],
+    dense: bool = False,
 ) -> list[int]:
     """The system's packed rows (see ``Instance._packed_rows``): per vertex
     v, the vertices v's button toggles, and the lamp-off flag at bit 0.
     Each edge is given once, in either orientation; a repeated edge
     leaves its bits as they were, and an endpoint >= n raises
-    IndexError."""
+    IndexError.
+
+    The edge loop ORs each edge into both of its rows.  With dense set,
+    it ORs each edge into its first endpoint's row only, and
+    ``gf2._or_mirrored`` then adds every row's mirror image, which holds
+    the other half: one transpose of the rows' bits in place of an OR per
+    edge."""
     bit = _column_bits(n)
     off = initially_on.to01().encode().translate(_OFF_FLAG)
     plus = SwitchType.SIGMA_PLUS
     # a row with no flag starts as its table entry: b | 0 would copy a wide int
     rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, off)]
+    if dense:
+        for i, j in edges:
+            rows[i] |= bit[j]
+        return _or_mirrored(rows, n)
     for i, j in edges:
         rows[i] |= bit[j]
         rows[j] |= bit[i]

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from allones import instance_io
+from allones import instance_io, lamps
 from allones.generators import (
     SplitMix64,
     gen_complete,
@@ -261,6 +261,93 @@ class TestBulkPath:
             parse_instance(text)
         assert exc.value.line == 3 + 12000
         assert str(exc.value) == f"line 12003: {message}"
+
+
+def _mixed_dense(n=300, seed=2):
+    """G(n, 1/2) with mixed switches and some lamps lit, as canonical text:
+    dense enough for the dense row build."""
+    inst = gen_random_gnp(n, 0.5, seed=seed)
+    rng = SplitMix64(seed)
+    switches = tuple(SwitchType.SIGMA if rng.below(2) else SwitchType.SIGMA_PLUS for _ in range(n))
+    inst = Instance(n, inst.edges, switches, BitVec(n, rng.bits(n)))
+    width = 8 * (n // 8 + 1)
+    assert lamps._DENSE_RATIO * len(inst.edges) >= width * width
+    return inst, render_instance(inst)
+
+
+class TestDenseRoute:
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The vertex counts the dense row build ran for."""
+        calls = []
+        mirror = lamps._or_mirrored
+
+        def spy(rows, cols):
+            calls.append(cols)
+            return mirror(rows, cols)
+
+        monkeypatch.setattr(lamps, "_or_mirrored", spy)
+        return calls
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_dense_text_takes_the_dense_build(self, routes, order):
+        inst, text = _mixed_dense()
+        lines = text.splitlines(keepends=True)
+        head, edge_lines = lines[:3], lines[3:]
+        if order == "reversed":
+            edge_lines = [f"e {j} {i}\n" for i, j in reversed(inst.edges)]
+        elif order == "shuffled":
+            random.Random(19).shuffle(edge_lines)
+        parsed = _parse_canonical("".join(head + edge_lines))
+        assert routes == [inst.n]
+        assert parsed == inst
+        assert parsed._packed_rows() == tuple(
+            lamps._packed_system(inst.n, inst.switches, inst.initially_on, inst.edges)
+        )
+
+    # a repeat sets no new bit in the half rows, a reversed repeat adds a
+    # bit its mirror already holds, and a self-loop lands on the diagonal:
+    # the popcount turns each away.  An endpoint of n turns the row build
+    # away before it mirrors
+    @pytest.mark.parametrize(
+        "extra, mirrors",
+        [
+            (lambda i, j, plus, minus: f"e {i} {j}", True),
+            (lambda i, j, plus, minus: f"e {j} {i}", True),
+            (lambda i, j, plus, minus: f"e {plus} {plus}", True),
+            (lambda i, j, plus, minus: f"e {minus} {minus}", True),
+            (lambda i, j, plus, minus: "e 0 300", False),
+        ],
+        ids=["duplicate", "reversed-duplicate", "plus-self-loop", "minus-self-loop", "endpoint-n"],
+    )
+    def test_faults_in_dense_text_give_the_line_parsers_error(self, routes, extra, mirrors):
+        inst, text = _mixed_dense()
+        i, j = inst.edges[len(inst.edges) // 2]
+        plus = inst.switches.index(SwitchType.SIGMA_PLUS)
+        minus = inst.switches.index(SwitchType.SIGMA)
+        text += extra(i, j, plus, minus) + "\n"
+        with pytest.raises(ParseError) as want:
+            _parse_lines(text)
+        routes.clear()
+        assert _parse_canonical(text) is None
+        assert routes == ([inst.n] if mirrors else [])
+        with pytest.raises(ParseError) as got:
+            parse_instance(text)
+        assert got.value.line == want.value.line == 4 + len(inst.edges)
+        assert str(got.value) == str(want.value)
+
+    def test_sparse_and_small_inputs_keep_the_edge_loop(self, monkeypatch):
+        def refuse(rows, cols):
+            raise AssertionError(f"dense row build for {cols} vertices")
+
+        monkeypatch.setattr(lamps, "_or_mirrored", refuse)
+        # the benchmark's small inputs are n 8 to 24 at these densities
+        insts = [
+            gen_random_mixed(n, p, seed=n) for n in range(1, 25) for p in (0.2, 0.5, 0.8, 1.0)
+        ]
+        insts += [gen_random_tree(2000, seed=1), gen_grid(40, 40), gen_random_gnp(1000, 10 / 1000, seed=1)]
+        for inst in insts:
+            assert _parse_canonical(render_instance(inst)) == inst
 
 
 class TestVertexLimit:

@@ -6,7 +6,8 @@ import numpy as np
 import oracles
 import pytest
 
-from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _row_bytes
+from allones import lamps
+from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _or_mirrored, _row_bytes
 from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
     EdgeError,
@@ -139,6 +140,55 @@ class TestBuildSystem:
         rows = tuple(_mirror(row, nbytes) | b[v] for v, row in enumerate(a.packed_rows))
         assert inst._packed_rows() == rows
         assert parse_instance(render_instance(inst))._packed_rows() == rows
+
+
+class TestDenseBuild:
+    """The dense row build, one OR per edge and then ``gf2._or_mirrored``,
+    gives the edge loop's rows; ``_from_endpoints`` picks it by the rule."""
+
+    # 127/128, 255/256 and 511/512 are where the row width passes a power
+    # of two; 199/200 straddle the rule's vertex minimum; 1, 7 and 8 are a
+    # single row byte, full and overflowing
+    SIZES = [1, 7, 8, 127, 128, 199, 200, 255, 256, 300, 511, 512]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_or_mirrored_matches_a_per_bit_oracle(self, n):
+        rng = random.Random(n)
+        width = 8 * _row_bytes(n)
+        # random bits everywhere, the flag at bit 0 and the padding included
+        rows = [rng.getrandbits(width) for _ in range(n)]
+        want = []
+        for i, row in enumerate(rows):
+            for j, other in enumerate(rows):
+                if other >> (width - 1 - i) & 1:
+                    row |= 1 << (width - 1 - j)
+            want.append(row)
+        assert _or_mirrored(rows, n) == want
+
+    @pytest.mark.parametrize("n", SIZES[3:])
+    def test_both_builders_give_the_same_rows(self, n, monkeypatch):
+        rng = random.Random(1000 + n)
+        width = 8 * _row_bytes(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        threshold = -(-width * width // lamps._DENSE_RATIO)
+        routes = []
+        mirror = lamps._or_mirrored
+        monkeypatch.setattr(lamps, "_or_mirrored", lambda rows, cols: routes.append(cols) or mirror(rows, cols))
+        for count in (threshold - 1, threshold, threshold + 1, len(pairs)):
+            count = min(count, len(pairs))
+            # shuffled order, each edge in a random orientation
+            edges = [(j, i) if rng.getrandbits(1) else (i, j) for i, j in rng.sample(pairs, count)]
+            switches = tuple(MINUS if rng.getrandbits(1) else PLUS for _ in range(n))
+            on = BitVec(n, rng.getrandbits(n))
+            loop = lamps._packed_system(n, switches, on, edges)
+            assert lamps._packed_system(n, switches, on, edges, dense=True) == loop
+            assert list(Instance(n, edges, switches, on)._packed_rows()) == loop
+            left, right = (list(col) for col in zip(*edges))
+            routes.clear()
+            parsed = Instance._from_endpoints(n, left, right, switches, on)
+            assert list(parsed._rows) == loop
+            dense = n >= lamps._DENSE_MIN_N and count >= threshold
+            assert routes == ([n] if dense else [])
 
 
 class TestSimulate:
