@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .approx import solve_approx
 from .exact import PRESS_LIMIT, exact_by_nullspace, exact_by_press_enumeration
-from .generators import GEN_LIMIT, SplitMix64, gen_random_mixed
+from .generators import GEN_LIMIT, SplitMix64, _count, gen_random_mixed
 from .instance_io import _clip
 from .lamps import is_all_on, simulate_presses
 
@@ -181,7 +181,7 @@ def _cmd_bench(args) -> int:
     from .cli import EXIT_OK, EXIT_USAGE, _fail, _out_of_range
 
     try:
-        sizes = [int(tok) for tok in args.sizes.split(",")]
+        sizes = [_count(tok) for tok in args.sizes.split(",")]
     except ValueError:
         return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:

@@ -26,7 +26,7 @@ from importlib import import_module
 from .approx import solve_approx
 from .exact import NULLSPACE_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
-from .instance_io import ParseError, _clip, parse_instance
+from .instance_io import ParseError, _clip, _int, parse_instance
 from .lamps import Instance, simulate_presses
 
 EXIT_OK = 0
@@ -62,7 +62,9 @@ def _out_of_range(flag: str, value: int, low: int, high: int | None = None) -> s
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    # parse_instance reads the bytes as text mode would, decoding them only
+    # for the line parser
+    with open(path, "rb") as fh:
         return parse_instance(fh.read())
 
 
@@ -71,10 +73,15 @@ def _parse_press(text: str, n: int) -> BitVec:
     text = text.strip()
     if text in ("", "-"):
         return BitVec.zeros(n)
+    tokens = text.split(",")
     try:
-        indices = [int(tok) for tok in text.split(",")]
+        indices = [_int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"press vector {_clip(text)!r} is not a comma-separated index list")
+    if None in indices:
+        # an index too long to convert
+        tok = tokens[indices.index(None)].strip()
+        raise ValueError(f"index {_clip(tok, 20)} out of range for length {n}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"press vector {_clip(text)!r} repeats an index")
     for i in indices:

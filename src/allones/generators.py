@@ -9,7 +9,7 @@ from __future__ import annotations
 import sys
 
 from .gf2 import BitVec
-from .instance_io import VERTEX_LIMIT, _clip, parse_switch_string, render_instance
+from .instance_io import VERTEX_LIMIT, _clip, _int, parse_switch_string, render_instance
 from .lamps import Instance, SwitchType
 
 _MASK64 = (1 << 64) - 1
@@ -17,6 +17,16 @@ _MASK64 = (1 << 64) - 1
 # most vertices plus edges `gen` builds (for gnp, vertex pairs drawn);
 # at the limit, generating and rendering allocate about 190 MiB
 GEN_LIMIT = 1_000_000
+
+
+def _count(text: str) -> int:
+    """int(text) for a vertex count of `gen` or `bench`.  A count too long
+    for int() to convert reads as -1 with a minus sign and as GEN_LIMIT
+    without, so the checks that follow report it as out of range."""
+    n = _int(text)
+    if n is None:
+        return -1 if text.lstrip().startswith("-") else GEN_LIMIT
+    return n
 
 
 class SplitMix64:
@@ -156,7 +166,7 @@ def _cmd_gen(args) -> int:
     if len(args.params) != len(types):
         return _fail(f"family {args.family!r} takes {len(types)} parameter(s)")
     try:
-        params = [t(p) for t, p in zip(types, args.params)]
+        params = [(_count if t is int else t)(p) for t, p in zip(types, args.params)]
         # the sizes are quadratic in the counts, so a count below 1 skips
         # them and meets its generator's own check, which builds nothing
         counts = [v for t, v in zip(types, params) if t is int]

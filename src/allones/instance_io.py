@@ -14,13 +14,18 @@ canonical sorted order, so parse(render(x)) == x.
 Text in the layout rendering writes takes a bulk path, with the edges in
 any order and either endpoint first: the three header lines with single
 spaces, then only lines that are exactly 'e <i> <j>', endpoints in ASCII
-digits without leading zeros, and every line ending in '\n'.  A regular
-expression admits the header; no regular expression reads the edge
-lines.  They are encoded as ASCII slab by slab; a slab is admitted when,
-with its digits deleted, it reads 'e  \n' once per line and its tokens
-are three per line with 'e' first.  A table of decimal tokens, kept for
-the process and grown to the largest n parsed so far, turns the endpoint
-tokens into vertex numbers and turns away a leading zero.
+digits without leading zeros, and every line ending in '\n'.  The bulk
+path reads bytes: a file's, with CRLF and lone CR read as '\n' as text
+mode reads them, or an ASCII str's encoding.  A regular expression
+admits the header; no regular expression reads the edge lines.  They are
+read slab by slab: a slab is admitted when, with its digits deleted, it
+reads 'e  \n' once per line, and it is split on spaces with an 'e'
+appended, so each line gives two tokens, '<i>' and '<j>\ne', after the
+slab's first 'e'.  A table kept for the process, grown to the largest n
+parsed so far, holds both forms of each vertex number's token and turns
+each endpoint token into its vertex with one lookup.  A leading zero, a
+digit beside an 'e' and digits after the last newline each leave a token
+that finds no key, or a slab's first token other than 'e'.
 The bulk path makes no edge tuples and sorts nothing: it builds each
 vertex's row of the linear system directly, in the bit-mirrored layout
 the elimination reads.  On sparse text it ORs each edge into both of its
@@ -32,17 +37,19 @@ and repeated edges.
 The Instance derives its sorted edges from the rows only when they are
 read.
 Any other text, and any text the bulk path finds a fault in, goes to the
-line-by-line parser.  So every other valid layout (comments, blank lines,
-CRLF, tabs, extra spaces, a missing final newline) parses to the same
-Instance, and only the line parser raises ParseError, naming the first bad
-line in file order.  Both paths refuse a vertex count above VERTEX_LIMIT
-before building anything n-sized.
+line-by-line parser, which reads a str; bytes are decoded as UTF-8 for it
+only.  So every other valid layout (comments, blank lines, CRLF, tabs,
+extra spaces, a missing final newline) parses to the same Instance, and
+only the line parser raises ParseError, naming the first bad line in file
+order.  Both paths refuse a vertex count above VERTEX_LIMIT before
+building anything n-sized.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from operator import itemgetter
 
 from .gf2 import BitVec
 from .lamps import EdgeError, Instance, SwitchType
@@ -61,6 +68,21 @@ def _clip(text: str, width: int = 40) -> str:
     return text if len(text) <= width else text[:width] + "..."
 
 
+def _int(text: str) -> int | None:
+    """int(text), or None where int() turns text away for its length alone:
+    an optionally signed run of decimal digits longer than CPython converts
+    (4300 digits by default; see sys.set_int_max_str_digits).  Each such
+    number is out of every range this package takes, so callers report it
+    as out of range.  Raises ValueError for text that is not an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits[digits[:1] in ("+", "-") :].isdecimal():
+            return None
+        raise
+
+
 _SWITCH_OF = {s.value: s for s in SwitchType}
 
 # most vertices an instance read from text may have: each vertex gets an
@@ -71,22 +93,25 @@ VERTEX_LIMIT = 30_000
 # The header render_instance writes: n, the switch string and the state
 # string are groups 1-3.  The edge lines after it, in any order, are each
 # exactly 'e <i> <j>'; _edge_endpoints checks them without a regex
-_HEADER = re.compile(r"allones ([1-9][0-9]*)\nswitches ([+-]+)\non ([01]+)\n")
+_HEADER = re.compile(rb"allones ([1-9][0-9]*)\nswitches ([+-]+)\non ([01]+)\n")
 
-# characters of edge lines checked and split at a time; a split keeps a
-# token for every number, so only one slab's worth of them is alive at once
+# bytes of edge lines checked and split at a time; a split keeps a token
+# for every number, so only one slab's worth of them is alive at once
 _SLAB = 1 << 14
 
 # an edge line 'e <i> <j>\n' with its digits deleted
 _EDGE_LAYOUT = b"e  \n"
 _DIGITS = b"0123456789"
 
-# vertex number v's ASCII decimal token to v, for every v below the largest
-# vertex count parsed so far in this process; a lookup converts a token in
-# about half the time int() takes and has no key for a leading zero.  It
-# holds at most VERTEX_LIMIT entries, as _parse_canonical checks n first,
-# and an entry never changes, so two parses growing it at once only write
-# equal entries
+# vertex number v's ASCII decimal token to v, bare (b"%d") and as the split
+# leaves a second endpoint, with its newline and the next line's 'e'
+# (b"%d\ne"), for every v below the largest vertex count parsed so far in
+# this process; a lookup converts a token in about half the time int()
+# takes and has no key for a leading zero.  It holds two entries per
+# vertex, at most 2 * VERTEX_LIMIT, as _parse_canonical checks n first:
+# 0.3 MiB at 1,600 vertices and 5.6 MiB at the limit (3.3 MiB with one
+# entry per vertex).  An entry never changes, so two parses growing it at
+# once only write equal entries
 _VERTEX_OF: dict[bytes, int] = {}
 
 
@@ -99,55 +124,63 @@ def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
     return tuple(map(_SWITCH_OF.__getitem__, text))
 
 
-def _edge_endpoints(text: str, start: int, n: int) -> tuple[list[int], list[int]] | None:
-    """Both endpoint columns of the edge lines from start on, or None if
-    some line there is not exactly 'e <i> <j>'.  An endpoint may be >= n
-    when a larger instance was parsed before; the row build turns it away."""
-    left: list[int] = []
-    right: list[int] = []
-    known = len(_VERTEX_OF)
+def _edge_endpoints(data: bytes, start: int, n: int) -> list[int] | None:
+    """The endpoints of the edge lines from start on, two per line in file
+    order, or None if some line there is not exactly 'e <i> <j>' ending in
+    a newline.  An endpoint may be >= n when a larger instance was parsed
+    before; the row build turns it away."""
+    known = len(_VERTEX_OF) // 2
     if known < n:
-        _VERTEX_OF.update({b"%d" % v: v for v in range(known, n)})
-    vertex = _VERTEX_OF.__getitem__
-    end = len(text)
+        # from pairs, so no second table is built alongside
+        _VERTEX_OF.update((key, v) for v in range(known, n) for key in (b"%d" % v, b"%d\ne" % v))
+    ends: list[int] = []
+    end = len(data)
     try:
         while start < end:
             # a slab ends at a newline, or at the end of the text
-            stop = text.find("\n", start + _SLAB) + 1 or end
-            slab = text[start:stop].encode("ascii")
-            tokens = slab.split()
-            lines = len(tokens) // 3
-            # with its digits deleted each line must read 'e  \n', which
-            # leaves it at most three tokens; lines = len(tokens) // 3 then
-            # makes it exactly three, so no number is empty.  The first
-            # token may still carry digits ('e0 0 1', '0e 0 1'): it must be 'e'
-            if (
-                slab.translate(None, _DIGITS) != _EDGE_LAYOUT * lines
-                or tokens[::3].count(b"e") != lines
+            stop = data.find(b"\n", start + _SLAB) + 1 or end
+            slab = data[start:stop]
+            # with an 'e' appended, each line splits into '<i>' and
+            # '<j>\ne' after the slab's first 'e'
+            tokens = (slab + b"e").split(b" ")
+            # once each line reads 'e  \n' with its digits deleted, a
+            # first endpoint's token holds no newline and a second one's
+            # holds one, so each finds a key only in its own form.  Digits
+            # after the last newline end up in the last token, beside the
+            # appended 'e', where they find no key
+            if tokens[0] != b"e" or slab.translate(None, _DIGITS) != _EDGE_LAYOUT * (
+                len(tokens) >> 1
             ):
                 return None
-            left += map(vertex, tokens[1::3])
-            right += map(vertex, tokens[2::3])
+            del tokens[0]
+            # a slab holds at least one line, so two tokens or more, and
+            # itemgetter gives a tuple of their vertices
+            ends += itemgetter(*tokens)(_VERTEX_OF)
             start = stop
-    except (KeyError, UnicodeEncodeError):
+    except KeyError:
         return None
-    return left, right
+    return ends
 
 
-def _parse_canonical(text: str) -> Instance | None:
+def _parse_canonical(text: str | bytes) -> Instance | None:
     """The bulk path: the instance for canonical-layout text, or None."""
+    if isinstance(text, str):
+        # canonical text is ASCII, which encodes by one copy
+        if not text.isascii():
+            return None
+        text = text.encode()
     header = _HEADER.match(text)
     if header is None:
         return None
     # the regex admits no leading zero, so the count reads exactly str(n)
     n = len(header[2])
-    if n > VERTEX_LIMIT or header[1] != str(n) or len(header[3]) != n:
+    if n > VERTEX_LIMIT or header[1] != b"%d" % n or len(header[3]) != n:
         return None
-    endpoints = _edge_endpoints(text, header.end(), n)
-    if endpoints is None:
+    ends = _edge_endpoints(text, header.end(), n)
+    if ends is None:
         return None
-    switches = parse_switch_string(header[2])
-    return Instance._from_endpoints(n, *endpoints, switches, BitVec.from01(header[3]))
+    switches = parse_switch_string(header[2].decode())
+    return Instance._from_endpoints(n, ends, switches, BitVec.from01(header[3].decode()))
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -158,11 +191,20 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the text format; raises ParseError with a line number."""
-    inst = _parse_canonical(text)
+def parse_instance(text: str | bytes) -> Instance:
+    """Parse the text format; raises ParseError with a line number.
+
+    Bytes are read as a UTF-8 file opened in text mode reads: CRLF and a
+    lone CR end a line, and bytes that are not UTF-8 raise
+    UnicodeDecodeError, naming the same byte position."""
+    data = text
+    if isinstance(text, bytes) and b"\r" in text:
+        data = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    inst = _parse_canonical(data)
     if inst is None:
-        inst = _parse_lines(text)
+        # the line parser ends a line at CR and CRLF itself, and decoding
+        # the untranslated bytes keeps a decode error's byte position
+        inst = _parse_lines(text.decode() if isinstance(text, bytes) else text)
     return inst
 
 
@@ -182,9 +224,15 @@ def _parse_lines(text: str) -> Instance:
     if len(fields) != 2 or fields[0] != "allones":
         raise ParseError(header_line, "expected header 'allones <n>'")
     try:
-        n = int(fields[1])
+        n = _int(fields[1])
     except ValueError:
         raise ParseError(header_line, f"vertex count {_clip(fields[1])!r} is not an integer") from None
+    if n is None:
+        if fields[1].startswith("-"):
+            raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(fields[1])}")
+        raise ParseError(
+            header_line, f"vertex count {_clip(fields[1])} is above the limit of {VERTEX_LIMIT}"
+        )
     if n < 1:
         raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(str(n))}")
 
@@ -228,7 +276,19 @@ def _parse_lines(text: str) -> Instance:
             try:
                 i, j = int(fields[1]), int(fields[2])
             except ValueError:
-                raise ParseError(lineno, f"edge endpoints in {_clip(line)!r} are not integers") from None
+                try:
+                    _int(fields[1])
+                    _int(fields[2])
+                except ValueError:
+                    raise ParseError(
+                        lineno, f"edge endpoints in {_clip(line)!r} are not integers"
+                    ) from None
+                # both are integers, and one is too long to convert
+                raise ParseError(
+                    lineno,
+                    f"edge ({_clip(fields[1], 20)}, {_clip(fields[2], 20)})"
+                    f" out of range for {n} vertices",
+                ) from None
             edge_lines.append(lineno)
             yield i, j
 

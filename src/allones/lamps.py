@@ -135,12 +135,11 @@ class Instance:
     def _from_endpoints(
         cls,
         n: int,
-        left: list[int],
-        right: list[int],
+        ends: list[int],
         switches: tuple[SwitchType, ...],
         initially_on: BitVec,
     ) -> Instance | None:
-        """The instance on edges (left[k], right[k]), or None where
+        """The instance on edges (ends[2k], ends[2k + 1]), or None where
         __init__ would raise; it never raises.
 
         Every endpoint must already be a non-negative int, as the bulk
@@ -159,14 +158,15 @@ class Instance:
         # the transpose costs about width squared bit operations whatever
         # the edge count, and saves one row OR per edge
         width = 8 * _row_bytes(n)
-        dense = n >= _DENSE_MIN_N and _DENSE_RATIO * len(left) >= width * width
+        dense = n >= _DENSE_MIN_N and _DENSE_RATIO * (len(ends) >> 1) >= width * width
+        pairs = iter(ends)
         try:
-            rows = _packed_system(n, switches, initially_on, zip(left, right), dense)
+            rows = _packed_system(n, switches, initially_on, zip(pairs, pairs), dense)
         except IndexError:
             return None
         plus = switches.count(SwitchType.SIGMA_PLUS)
         off = n - initially_on.weight
-        if sum(map(int.bit_count, rows)) != 2 * len(left) + plus + off:
+        if sum(map(int.bit_count, rows)) != len(ends) + plus + off:
             return None
         self = cls.__new__(cls)
         self.n = n

@@ -210,6 +210,55 @@ class TestSolve:
         assert_clean_usage_error(res)
 
 
+class TestFileBytes:
+    """solve and verify read the file as bytes; the bulk parse takes them
+    as text mode would give them, and only the line parser decodes."""
+
+    def test_crlf_copy_gives_the_same_answer(self, tmp_path, monkeypatch, capsys):
+        text = render_instance(gen_random_tree(2000, seed=1))
+        plain, crlf = tmp_path / "tree.ao", tmp_path / "tree-crlf.ao"
+        plain.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        outs = []
+        for path in (plain, crlf):
+            assert cli.main(["solve", str(path), "--output", "json"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[0].err == ""
+
+        # CRLF and lone CR end lines as in text mode, so the CRLF copy and
+        # one with lone CRs both take the bulk path
+        def refuse(text):
+            raise AssertionError("the line parser was reached")
+
+        monkeypatch.setattr(instance_io, "_parse_lines", refuse)
+        for data in (text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            assert instance_io.parse_instance(data.encode()) == gen_random_tree(2000, seed=1)
+
+    # the messages text mode gave: the byte positions count the raw bytes,
+    # CRs included, before any newline is translated
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                b"allones 3\r\nswitches +-+\r\non 010\r\ne 0 1\r\ne 1 \xff2\r\n",
+                "'utf-8' codec can't decode byte 0xff in position 44: invalid start byte",
+            ),
+            (
+                b"allones 3\r\nswitches +-+\r\non 010\r\n" + b"# c\r\n" * 5000 + b"\xe9x\n",
+                "'utf-8' codec can't decode byte 0xe9 in position 25033: invalid continuation byte",
+            ),
+        ],
+        ids=["short", "past-a-slab"],
+    )
+    @pytest.mark.parametrize("argv", [["solve"], ["verify", "-"]], ids=["solve", "verify"])
+    def test_bad_utf8_after_crlf_lines_names_its_byte(self, tmp_path, capsys, data, message, argv):
+        path = tmp_path / "bad.ao"
+        path.write_bytes(data)
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestVertexLimit:
     @pytest.mark.parametrize("argv", [["solve"], ["verify", "-"]], ids=["solve", "verify"])
     @pytest.mark.parametrize("whole", [False, True], ids=["header-only", "three-lines"])
@@ -577,6 +626,48 @@ class TestUsage:
         assert_clean_usage_error(res)
         assert len(res.stderr) < 200
         assert res.stderr.endswith(f"... {reason}\n")
+
+    # more digits than int() converts (4300 by default): each command
+    # reports the value as out of range, in its own wording
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "FILE", "9" * 5000], "index " + "9" * 20 + "... out of range for length 2"),
+            (["verify", "FILE", "0,-" + "9" * 5000], "index -" + "9" * 19 + "... out of range for length 2"),
+            (
+                ["bench", "--sizes", "9" * 5000],
+                "--sizes '" + "9" * 40 + "...' with --trials 100 has more than 1000000"
+                " vertices plus vertex pairs",
+            ),
+            (["bench", "--sizes", "8,-" + "9" * 5000], "--sizes '8,-" + "9" * 37 + "...' lists a size below 1"),
+            (["gen", "path", "9" * 5000], "path " + "9" * 40 + "... has more than 1000000 vertices plus edges"),
+            (["gen", "path", "-" + "9" * 5000], "an instance needs at least one vertex"),
+            (["gen", "grid", "0", "9" * 5000], "grid sides must be >= 1"),
+        ],
+        ids=["press-index", "negative-press-index", "sizes", "negative-size", "gen-count",
+             "negative-gen-count", "gen-count-beside-zero"],
+    )
+    def test_overlong_integer_is_out_of_range(self, k2_file, capsys, argv, message):
+        argv = [k2_file if a == "FILE" else a for a in argv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("allones " + "9" * 5000 + "\n", "line 1: vertex count " + "9" * 40 + "... is above the limit of 30000"),
+            (
+                "allones 2\nswitches ++\non 00\ne 0 " + "9" * 5000 + "\n",
+                "line 4: edge (0, " + "9" * 20 + "...) out of range for 2 vertices",
+            ),
+        ],
+        ids=["count", "endpoint"],
+    )
+    def test_overlong_integer_in_a_file_is_out_of_range(self, tmp_path, capsys, text, message):
+        path = tmp_path / "long.ao"
+        path.write_text(text)
+        assert cli.main(["solve", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_short_values_are_echoed_whole(self, k2_file):
         assert run_cli("bench", "--sizes", "8,x").stderr == (

@@ -133,12 +133,49 @@ class TestParseErrors:
         assert exc.value.line == line
         assert len(str(exc.value)) < 100
 
+    # more digits than int() converts (4300 by default): out of range, not
+    # "not an integer"
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "allones " + "9" * 5000 + "\nswitches +\non 0\n",
+                "line 1: vertex count " + "9" * 40 + "... is above the limit of 30000",
+            ),
+            (
+                "allones -" + "9" * 5000 + "\nswitches +\non 0\n",
+                "line 1: vertex count must be >= 1, got -" + "9" * 39 + "...",
+            ),
+            (
+                K2_TEXT + "e 0 " + "9" * 5000 + "\n",
+                "line 5: edge (0, " + "9" * 20 + "...) out of range for 2 vertices",
+            ),
+            (
+                K2_TEXT + "e -" + "9" * 5000 + " 1\n",
+                "line 5: edge (-" + "9" * 19 + "..., 1) out of range for 2 vertices",
+            ),
+        ],
+        ids=["count", "negative-count", "endpoint", "negative-endpoint"],
+    )
+    def test_overlong_integers_are_out_of_range(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
+    def test_overlong_endpoint_after_a_bad_edge_keeps_file_order(self):
+        text = K2_TEXT + "e 1 0\ne 0 " + "9" * 5000 + "\n"
+        with pytest.raises(ParseError, match="duplicate edge") as exc:
+            parse_instance(text)
+        assert exc.value.line == 5
+
     def test_zero_vertices_rejected(self):
         with pytest.raises(ParseError, match=">= 1"):
             parse_instance("allones 0\nswitches \non \n")
 
 
 K3_TEXT = "allones 3\nswitches +-+\non 010\ne 0 1\ne 1 2\n"
+# edge lines that outgrow one slab
+LONG_PATH_TEXT = render_instance(gen_path(3000))
 
 
 class TestBulkPath:
@@ -175,6 +212,12 @@ class TestBulkPath:
             K3_TEXT.replace("e 0 1", "e0 0 1"),
             K3_TEXT.replace("e 0 1", "0e 0 1"),
             K3_TEXT.replace("e 1 2", "\u00e9 1 2"),
+            # a last line of digits alone, with no newline: after a whole
+            # edge line, after one cut before its second endpoint, and
+            # past the first slab
+            K3_TEXT + "2",
+            K3_TEXT.replace("e 1 2\n", "e 1 \n2"),
+            pytest.param(LONG_PATH_TEXT + "2", id="trailing-digit-past-the-first-slab"),
         ],
     )
     def test_other_layouts_fall_back(self, text):
@@ -246,6 +289,9 @@ class TestBulkPath:
             larger = gen_path(12001)
             assert _parse_canonical(render_instance(larger)) == larger
             assert instance_io._VERTEX_OF[b"12000"] == 12000
+            # a last line's second endpoint arrives with its newline and
+            # the 'e' the split appends, and finds a key too
+            assert instance_io._VERTEX_OF[b"12000\ne"] == 12000
         inst = gen_random_tree(12000, seed=3)
         if minus:
             switches = list(inst.switches)
@@ -304,6 +350,23 @@ class TestDenseRoute:
         assert parsed._packed_rows() == tuple(
             lamps._packed_system(inst.n, inst.switches, inst.initially_on, inst.edges)
         )
+
+    # 255 and 256 straddle a power of two in the row width W, 200 is the
+    # rule's vertex minimum
+    @pytest.mark.parametrize("n", [200, 255, 256, 300])
+    def test_shuffled_dense_text_parses_to_the_built_instance(self, routes, n):
+        rng = random.Random(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [(j, i) if rng.getrandbits(1) else (i, j) for i, j in rng.sample(pairs, len(pairs) // 2)]
+        width = 8 * (n // 8 + 1)
+        assert lamps._DENSE_RATIO * len(edges) >= width * width
+        switches = tuple(SwitchType.SIGMA if rng.getrandbits(1) else SwitchType.SIGMA_PLUS for _ in range(n))
+        inst = Instance(n, edges, switches, BitVec(n, rng.getrandbits(n)))
+        # the sample is in random order, each edge in a random orientation
+        head = render_instance(Instance(n, (), switches, inst.initially_on))
+        parsed = _parse_canonical(head + "".join(f"e {i} {j}\n" for i, j in edges))
+        assert routes == [n]
+        assert parsed == inst
 
     # a repeat sets no new bit in the half rows, a reversed repeat adds a
     # bit its mirror already holds, and a self-loop lands on the diagonal:

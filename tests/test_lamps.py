@@ -183,9 +183,9 @@ class TestDenseBuild:
             loop = lamps._packed_system(n, switches, on, edges)
             assert lamps._packed_system(n, switches, on, edges, dense=True) == loop
             assert list(Instance(n, edges, switches, on)._packed_rows()) == loop
-            left, right = (list(col) for col in zip(*edges))
+            ends = [v for edge in edges for v in edge]
             routes.clear()
-            parsed = Instance._from_endpoints(n, left, right, switches, on)
+            parsed = Instance._from_endpoints(n, ends, switches, on)
             assert list(parsed._rows) == loop
             dense = n >= lamps._DENSE_MIN_N and count >= threshold
             assert routes == ([n] if dense else [])

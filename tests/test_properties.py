@@ -1,5 +1,8 @@
 """Hypothesis properties of the text format and the random generators."""
 
+import io
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +192,15 @@ def test_bulk_path_agrees_with_line_parser(inst, data):
     # a blank line put last, with no final newline after it, leaves the
     # text in the canonical layout
     canonical = canonical and text == plain
+    # a last line of digits alone with no newline after it: after a whole
+    # line, or cut from the last edge line before its second endpoint
+    tail = data.draw(st.sampled_from([None, "after", "cut"]))
+    if tail == "after":
+        text += ("" if text.endswith("\n") else newline) + str(data.draw(st.integers(0, n + 3)))
+        canonical = False
+    elif tail == "cut" and (last := re.search(r" ([0-9]+)(\r?\n)?\Z", text)):
+        text = text[: last.start()] + " " + newline + last[1]
+        canonical = False
 
     bulk = _parse_canonical(text)
     try:
@@ -237,3 +249,30 @@ def test_packed_rows_match_the_natural_system(base, data):
             dec = sol.decomposition
             want = column_echelon_grouped(res[1], res[0])
             assert (dec.gamma, dec.basis, dec.parts) == (want.gamma, want.basis, want.parts)
+
+
+@settings(deadline=None)
+@given(GENERATED, st.data())
+def test_bytes_parse_as_text_mode_reads_them(inst, data):
+    """parse_instance of a file's bytes answers as parse_instance of the
+    text a UTF-8 text-mode read of the file gives: same instance, or same
+    error and message, byte positions included."""
+    lines = render_instance(inst).splitlines()
+    # a line of each kind the ends may land in or beside
+    for _ in range(data.draw(st.integers(0, 2))):
+        extra = data.draw(st.sampled_from(["# note", "", "e 0 0", "\u00e9", "e 0 1 2"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    ends = [data.draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    raw = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, len(raw)))
+        raw = raw[:k] + data.draw(st.sampled_from([b"\xff", b"\xe9", b"\r", b"\r\n", b"7"])) + raw[k:]
+
+    def outcome(parse):
+        try:
+            return parse()
+        except (ParseError, UnicodeDecodeError) as exc:
+            return type(exc), str(exc)
+
+    read = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read
+    assert outcome(lambda: parse_instance(raw)) == outcome(lambda: parse_instance(read()))
