@@ -17,9 +17,9 @@ from collections.abc import Sequence
 
 from .approx import solve_approx
 from .exact import PRESS_LIMIT, exact_by_nullspace, exact_by_press_enumeration
-from .generators import GEN_LIMIT, SplitMix64, _count, gen_random_mixed
-from .instance_io import _clip
-from .lamps import is_all_on, simulate_presses
+from .generators import GEN_LIMIT, SplitMix64, gen_random_mixed
+from .instance_io import _int
+from .lamps import _clip, is_all_on, simulate_presses
 
 DEFAULT_ORACLE_LIMIT = 12
 
@@ -181,7 +181,7 @@ def _cmd_bench(args) -> int:
     from .cli import EXIT_OK, EXIT_USAGE, _fail, _out_of_range
 
     try:
-        sizes = [_count(tok) for tok in args.sizes.split(",")]
+        sizes = [_int(tok) for tok in args.sizes.split(",")]
     except ValueError:
         return _fail(f"--sizes {_clip(args.sizes)!r} is not a comma-separated integer list")
     if min(sizes) < 1:
@@ -209,11 +209,11 @@ def _cmd_bench(args) -> int:
 def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="run the random corpus with invariant checks")
     p.add_argument("--sizes", default="8,10,12", help="comma-separated vertex counts")
-    p.add_argument("--trials", type=int, default=100, help="instances per size")
+    p.add_argument("--trials", type=_int, default=100, help="instances per size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--oracle-limit",
-        type=int,
+        type=_int,
         default=DEFAULT_ORACLE_LIMIT,
         metavar="N",
         help="compare against the exact oracles when n is at most N"

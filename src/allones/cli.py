@@ -26,8 +26,8 @@ from importlib import import_module
 from .approx import solve_approx
 from .exact import NULLSPACE_LIMIT, exact_by_nullspace
 from .gf2 import BitVec
-from .instance_io import ParseError, _clip, _int, parse_instance
-from .lamps import Instance, simulate_presses
+from .instance_io import ParseError, _int, parse_instance
+from .lamps import Instance, _clip, simulate_presses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,21 +73,16 @@ def _parse_press(text: str, n: int) -> BitVec:
     text = text.strip()
     if text in ("", "-"):
         return BitVec.zeros(n)
-    tokens = text.split(",")
     try:
-        indices = [_int(tok) for tok in tokens]
+        indices = [_int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"press vector {_clip(text)!r} is not a comma-separated index list")
-    if None in indices:
-        # an index too long to convert
-        tok = tokens[indices.index(None)].strip()
-        raise ValueError(f"index {_clip(tok, 20)} out of range for length {n}")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"press vector {_clip(text)!r} repeats an index")
     for i in indices:
         if not 0 <= i < n:
             # clipped, so the reason at the end survives _fail's cut
             raise ValueError(f"index {_clip(str(i), 20)} out of range for length {n}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"press vector {_clip(text)!r} repeats an index")
     # the indices are distinct, so the sum sets each bit once
     return BitVec(n, sum(1 << i for i in indices))
 
@@ -179,7 +174,7 @@ def _add_solve(sub: argparse._SubParsersAction | _Standalone) -> None:
     p.add_argument("file")
     p.add_argument(
         "--exact-limit",
-        type=int,
+        type=_int,
         default=DEFAULT_EXACT_LIMIT,
         metavar="M",
         help="also report the exact optimum when the system corank is at most M"

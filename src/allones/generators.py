@@ -9,24 +9,14 @@ from __future__ import annotations
 import sys
 
 from .gf2 import BitVec
-from .instance_io import VERTEX_LIMIT, _clip, _int, parse_switch_string, render_instance
-from .lamps import Instance, SwitchType
+from .instance_io import VERTEX_LIMIT, _int, parse_switch_string, render_instance
+from .lamps import Instance, SwitchType, _clip
 
 _MASK64 = (1 << 64) - 1
 
 # most vertices plus edges `gen` builds (for gnp, vertex pairs drawn);
 # at the limit, generating and rendering allocate about 190 MiB
 GEN_LIMIT = 1_000_000
-
-
-def _count(text: str) -> int:
-    """int(text) for a vertex count of `gen` or `bench`.  A count too long
-    for int() to convert reads as -1 with a minus sign and as GEN_LIMIT
-    without, so the checks that follow report it as out of range."""
-    n = _int(text)
-    if n is None:
-        return -1 if text.lstrip().startswith("-") else GEN_LIMIT
-    return n
 
 
 class SplitMix64:
@@ -138,20 +128,21 @@ def gen_random_mixed(n: int, p: float, seed: int) -> Instance:
     return Instance(n, edges, switches, initially_on)
 
 
-# per family: parameter types, vertices plus edges, and a builder taking the
-# parameters and --seed, which looks its generator up when it is called
+# per family: parameter names, vertices plus edges, and a builder taking the
+# parameters and --seed, which looks its generator up when it is called; P
+# is a probability, every other parameter a count
 _FAMILIES = {
-    "path": ((int,), lambda n: 2 * n - 1, lambda n, seed: gen_path(n)),
-    "cycle": ((int,), lambda n: 2 * n if n > 2 else 2 * n - 1, lambda n, seed: gen_cycle(n)),
-    "complete": ((int,), lambda n: n + n * (n - 1) // 2, lambda n, seed: gen_complete(n)),
-    "grid": ((int, int), lambda w, h: 3 * w * h - w - h, lambda w, h, seed: gen_grid(w, h)),
+    "path": ("N", lambda n: 2 * n - 1, lambda n, seed: gen_path(n)),
+    "cycle": ("N", lambda n: 2 * n if n > 2 else 2 * n - 1, lambda n, seed: gen_cycle(n)),
+    "complete": ("N", lambda n: n + n * (n - 1) // 2, lambda n, seed: gen_complete(n)),
+    "grid": ("WH", lambda w, h: 3 * w * h - w - h, lambda w, h, seed: gen_grid(w, h)),
     "gnp": (
-        (int, float),
+        "NP",
         # one draw per vertex pair, whatever p is
         lambda n, p: n + n * (n - 1) // 2,
         lambda n, p, seed: gen_random_gnp(n, p, seed),
     ),
-    "tree": ((int,), lambda n: 2 * n - 1, lambda n, seed: gen_random_tree(n, seed)),
+    "tree": ("N", lambda n: 2 * n - 1, lambda n, seed: gen_random_tree(n, seed)),
 }
 
 
@@ -162,14 +153,20 @@ def _cmd_gen(args) -> int:
         return _fail(
             f"unknown family {_clip(args.family)!r} (choose from {', '.join(_FAMILIES)})"
         )
-    types, size, build = _FAMILIES[args.family]
-    if len(args.params) != len(types):
-        return _fail(f"family {args.family!r} takes {len(types)} parameter(s)")
+    names, size, build = _FAMILIES[args.family]
+    if len(args.params) != len(names):
+        return _fail(f"family {args.family!r} takes {len(names)} parameter(s)")
+    params = []
+    for name, text in zip(names, args.params):
+        try:
+            params.append(float(text) if name == "P" else _int(text))
+        except ValueError:
+            kind = "a number" if name == "P" else "an integer"
+            return _fail(f"{args.family} {name} {_clip(text)!r} is not {kind}")
     try:
-        params = [(_count if t is int else t)(p) for t, p in zip(types, args.params)]
         # the sizes are quadratic in the counts, so a count below 1 skips
         # them and meets its generator's own check, which builds nothing
-        counts = [v for t, v in zip(types, params) if t is int]
+        counts = [v for name, v in zip(names, params) if name != "P"]
         if min(counts) >= 1 and size(*params) > GEN_LIMIT:
             return _fail(
                 f"{args.family} {_clip(' '.join(args.params))} has more than"

@@ -52,7 +52,7 @@ from collections.abc import Iterator
 from operator import itemgetter
 
 from .gf2 import BitVec
-from .lamps import EdgeError, Instance, SwitchType
+from .lamps import EdgeError, Instance, SwitchType, _clip
 
 
 class ParseError(ValueError):
@@ -63,24 +63,27 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _clip(text: str, width: int = 40) -> str:
-    """Input text to echo in a message, cut to width characters and '...'."""
-    return text if len(text) <= width else text[:width] + "..."
-
-
-def _int(text: str) -> int | None:
-    """int(text), or None where int() turns text away for its length alone:
-    an optionally signed run of decimal digits longer than CPython converts
-    (4300 digits by default; see sys.set_int_max_str_digits).  Each such
-    number is out of every range this package takes, so callers report it
-    as out of range.  Raises ValueError for text that is not an integer."""
+def _int(text: str) -> int:
+    """int(text), the package's one integer reader, for files and flags.  An
+    optionally signed run of decimal digits too long for int() (4300 digits
+    by default; see sys.set_int_max_str_digits) reads as its sign and first
+    100 significant digits: out of every range this package takes, and
+    printed alike once clipped.  Raises ValueError for other non-integers."""
     try:
         return int(text)
     except ValueError:
         digits = text.strip()
-        if digits[digits[:1] in ("+", "-") :].isdecimal():
-            return None
-        raise
+        sign = digits[:1] if digits[:1] in ("+", "-") else ""
+        digits = digits[len(sign) :]
+        if not digits.isdecimal():
+            raise
+        # int() counts leading zeros too; the value does not
+        return int(sign + "0" + digits.lstrip("0")[:100])
+
+
+# argparse names a type by __name__ in its error for text the type turns
+# away, so an integer flag's reads "invalid int value", as with int
+_int.__name__ = "int"
 
 
 _SWITCH_OF = {s.value: s for s in SwitchType}
@@ -227,14 +230,14 @@ def _parse_lines(text: str) -> Instance:
         n = _int(fields[1])
     except ValueError:
         raise ParseError(header_line, f"vertex count {_clip(fields[1])!r} is not an integer") from None
-    if n is None:
-        if fields[1].startswith("-"):
-            raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(fields[1])}")
-        raise ParseError(
-            header_line, f"vertex count {_clip(fields[1])} is above the limit of {VERTEX_LIMIT}"
-        )
     if n < 1:
         raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(str(n))}")
+    # a count too long for int(), which _int cut to 100 digits, can match
+    # no switch string, so it is refused before the switch line is read
+    if n > VERTEX_LIMIT and len(fields[1].lstrip("+0")) > len(str(n)):
+        raise ParseError(
+            header_line, f"vertex count {_clip(str(n))} is above the limit of {VERTEX_LIMIT}"
+        )
 
     lineno, fields = next_line("the 'switches' line")
     if len(fields) != 2 or fields[0] != "switches":
@@ -274,20 +277,10 @@ def _parse_lines(text: str) -> Instance:
             if fields[0] != "e" or len(fields) != 3:
                 raise ParseError(lineno, f"expected 'e <i> <j>', got {_clip(line)!r}")
             try:
-                i, j = int(fields[1]), int(fields[2])
+                i, j = _int(fields[1]), _int(fields[2])
             except ValueError:
-                try:
-                    _int(fields[1])
-                    _int(fields[2])
-                except ValueError:
-                    raise ParseError(
-                        lineno, f"edge endpoints in {_clip(line)!r} are not integers"
-                    ) from None
-                # both are integers, and one is too long to convert
                 raise ParseError(
-                    lineno,
-                    f"edge ({_clip(fields[1], 20)}, {_clip(fields[2], 20)})"
-                    f" out of range for {n} vertices",
+                    lineno, f"edge endpoints in {_clip(line)!r} are not integers"
                 ) from None
             edge_lines.append(lineno)
             yield i, j

@@ -46,6 +46,11 @@ class SwitchType(Enum):
     SIGMA = "-"  # toggles the neighbors only
 
 
+def _clip(text: str, width: int = 40) -> str:
+    """Input text to echo in a message, cut to width characters and '...'."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
 class EdgeError(ValueError):
     """An edge an instance cannot hold; ``index`` is its position in the input."""
 
@@ -100,7 +105,8 @@ class Instance:
             except TypeError:
                 raise EdgeError(idx, f"edge ({i!r}, {j!r}) has a non-integer endpoint") from None
             if not (0 <= i < n and 0 <= j < n):
-                raise EdgeError(idx, f"edge ({i}, {j}) out of range for {n} vertices")
+                shown = f"{_clip(str(i), 20)}, {_clip(str(j), 20)}"
+                raise EdgeError(idx, f"edge ({shown}) out of range for {n} vertices")
             if i == j:
                 raise EdgeError(idx, f"self-loop at vertex {i}")
             e = (i, j) if i < j else (j, i)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -724,6 +725,113 @@ class TestUsage:
         a = run_cli("solve", k2_file, "--output", "json")
         b = run_cli("solve", k2_file, "--output", "json")
         assert a.stdout == b.stdout
+
+
+class TestIntegerInputs:
+    """Every integer flag and gen parameter fails, if it fails, in the
+    command's own words: one error line naming the flag or parameter."""
+
+    # where each value goes (V), and the words any error about it names
+    SWEEP = {
+        "solve --exact-limit": (["solve", "FILE", "--exact-limit", "V"], ("--exact-limit",)),
+        "bench --sizes": (["bench", "--sizes", "V", "--trials", "2"], ("--sizes",)),
+        "bench --trials": (["bench", "--sizes", "4", "--trials", "V"], ("--trials",)),
+        "bench --seed": (["bench", "--sizes", "4", "--trials", "2", "--seed", "V"], ("--seed",)),
+        "bench --oracle-limit": (
+            ["bench", "--sizes", "4", "--trials", "2", "--oracle-limit", "V"],
+            ("--oracle-limit",),
+        ),
+        "gen --seed": (["gen", "tree", "5", "--seed", "V"], ("--seed",)),
+        **{
+            f"gen {family} N": (["gen", family, "V"], (family, "vertex"))
+            for family in ("path", "cycle", "complete", "tree")
+        },
+        "gen grid W": (["gen", "grid", "V", "3"], ("grid",)),
+        "gen grid H": (["gen", "grid", "3", "V"], ("grid",)),
+        "gen gnp N": (["gen", "gnp", "V", "0.5"], ("gnp", "vertex")),
+        "gen gnp P": (["gen", "gnp", "10", "V"], ("gnp", "probability")),
+    }
+
+    @staticmethod
+    def values(rng):
+        """An over-long, a non-numeric, a negative and a float-like value."""
+        digits = "".join(rng.choices("0123456789", k=rng.randint(4301, 6000)))
+        return [
+            rng.choice(["", "-", "+"]) + str(rng.randint(1, 9)) + digits,
+            "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 8))),
+            f"-{rng.randint(1, 10**6)}",
+            rng.choice(["{}.{}", "{}e-{}", "-{}.{}"]).format(rng.randint(0, 99), rng.randint(0, 9)),
+        ]
+
+    @staticmethod
+    def valid_output(command, out):
+        if command == "solve":
+            return out.startswith("feasible\n")
+        if command == "bench":
+            return out.startswith("sizes ") and "violations: none\n" in out
+        return render_instance(instance_io.parse_instance(out)) == out
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_sweep(self, k2_file, capsys, seed):
+        rng = random.Random(seed)
+        faults = []
+        for case, (template, names) in self.SWEEP.items():
+            for value in self.values(rng):
+                argv = [k2_file if a == "FILE" else value if a == "V" else a for a in template]
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                if code == 0 and err == "" and self.valid_output(argv[0], out):
+                    continue
+                line = err.rstrip("\n")
+                if not (
+                    code == 1
+                    and out == ""
+                    and err.count("\n") == 1
+                    and line.startswith("error: ")
+                    and any(name in line for name in names)
+                    and "invalid literal" not in line
+                    and "could not convert" not in line
+                ):
+                    faults.append((case, value[:20], code, err[:120]))
+        assert faults == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "FILE", "--exact-limit", "9" * 5000], "--exact-limit " + "9" * 20 + "... exceeds 24"),
+            (["bench", "--oracle-limit", "-" + "9" * 5000], "--oracle-limit -" + "9" * 19 + "... is below 0"),
+            (
+                ["bench", "--trials", "9" * 5000],
+                "--sizes '8,10,12' with --trials " + "9" * 20 + "... has more than 1000000"
+                " vertices plus vertex pairs",
+            ),
+            (["gen", "path", "x"], "path N 'x' is not an integer"),
+            (["gen", "gnp", "10", "x"], "gnp P 'x' is not a number"),
+            (["gen", "grid", "3", "2.5"], "grid H '2.5' is not an integer"),
+        ],
+        ids=["exact-limit", "oracle-limit", "trials", "gen-count", "gen-probability", "gen-side"],
+    )
+    def test_message_in_the_commands_words(self, k2_file, capsys, argv, message):
+        assert cli.main([k2_file if a == "FILE" else a for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_long_endpoint_is_clipped_before_its_reason(self, tmp_path, capsys):
+        # int() converts 4000 digits; the message still ends in its reason
+        path = tmp_path / "long.ao"
+        path.write_text("allones 2\nswitches ++\non 00\ne 0 " + "9" * 4000 + "\n")
+        assert cli.main(["solve", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: line 4: edge (0, " + "9" * 20 + "...) out of range for 2 vertices\n"
+        )
+
+    def test_long_indices_are_out_of_range_not_repeated(self, k2_file, capsys):
+        # both read as their first 100 digits, which are equal
+        press = "9" * 5000 + "," + "9" * 4999 + "8"
+        assert cli.main(["verify", k2_file, press]) == 1
+        assert capsys.readouterr() == ("", "error: index " + "9" * 20 + "... out of range for length 2\n")
 
 
 # per subcommand, argv after the command name: valid flags, help, an

@@ -105,6 +105,15 @@ class TestBitVec:
         a = BitVec.from01("1100")
         assert a[0] == 1 and a[2] == 0
 
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ValueError, match="^negative length -1$"):
+            BitVec(-1)
+
+    @pytest.mark.parametrize("i", [-1, 4, 100])
+    def test_index_out_of_range_is_refused(self, i):
+        with pytest.raises(IndexError, match=f"^bit index {i} out of range for length 4$"):
+            BitVec(4, 0b1111)[i]
+
     @settings(deadline=None)
     @given(bit_vectors())
     @example((0, 0))
@@ -121,6 +130,23 @@ class TestBitMat:
             BitMat(2, 2, [0b11, 0b100])
         with pytest.raises(ValueError):
             BitMat(2, 2, [0b11])
+
+    @pytest.mark.parametrize("rows, cols", [(-1, 2), (0, -1)])
+    def test_negative_dimension_is_refused(self, rows, cols):
+        with pytest.raises(ValueError, match="^negative dimension$"):
+            BitMat(rows, cols, [])
+
+    def test_hash_and_repr(self):
+        a = BitMat(2, 3, [0b101, 0b011])
+        assert hash(a) == hash(BitMat(2, 3, (0b101, 0b011)))
+        assert len({a, BitMat(2, 3, [0b101, 0b011]), BitMat(2, 4, [0b101, 0b011])}) == 2
+        assert repr(a) == "BitMat(2x3)"
+
+
+def test_echelon_decomposition_repr():
+    # vector 0 touches vertices 0 and 1; vertex 2 is in part 0
+    dec = gf2.EchelonDecomposition(BitMat(1, 3, [0b011]), BitVec(3, 0b100))
+    assert repr(dec) == "EchelonDecomposition(n=3, m=1, part_sizes=[1, 2])"
 
 
 def _rank(m):

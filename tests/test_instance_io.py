@@ -168,6 +168,32 @@ class TestParseErrors:
             parse_instance(text)
         assert exc.value.line == 5
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("42", 42),
+            (" -7\n", -7),
+            ("9" * 5000, int("9" * 100)),
+            ("-" + "9" * 5000, -int("9" * 100)),
+            ("+" + "1" * 4301, int("1" * 100)),
+            # int() counts leading zeros against its limit; the value does not
+            ("0" * 5000 + "7", 7),
+            ("-" + "0" * 5000, 0),
+        ],
+        ids=["short", "spaced", "long", "negative-long", "plus-long", "zeros", "negative-zeros"],
+    )
+    def test_int_reads_any_decimal_run(self, text, value):
+        assert instance_io._int(text) == value
+
+    @pytest.mark.parametrize("text", ["x", "", "1.5", "--1", "9" * 5000 + "x", "-"])
+    def test_int_refuses_what_is_not_an_integer(self, text):
+        with pytest.raises(ValueError):
+            instance_io._int(text)
+
+    def test_count_with_long_leading_zeros_reads_as_its_value(self):
+        text = K2_TEXT.replace("allones 2", "allones " + "0" * 5000 + "2")
+        assert parse_instance(text) == parse_instance(K2_TEXT)
+
     def test_zero_vertices_rejected(self):
         with pytest.raises(ParseError, match=">= 1"):
             parse_instance("allones 0\nswitches \non \n")

@@ -40,6 +40,14 @@ class TestInstanceValidation:
             Instance(3, [(0, 3)])
         assert exc.value.index == 0
 
+    def test_out_of_range_endpoints_are_clipped(self):
+        # the message ends in its reason however long the endpoints are
+        with pytest.raises(EdgeError) as exc:
+            Instance(3, [(-(10**30), 10**50)])
+        assert str(exc.value) == (
+            "edge (-1000000000000000000..., 10000000000000000000...) out of range for 3 vertices"
+        )
+
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
             Instance(2, [], (PLUS,))
