@@ -193,7 +193,7 @@ def _cmd_bench(args) -> int:
     # size is drawn --trials times
     if args.trials * sum(n + n * (n - 1) // 2 for n in sizes) > GEN_LIMIT:
         return _fail(
-            f"--sizes {_clip(args.sizes)!r} with --trials {_clip(str(args.trials), 20)}"
+            f"--sizes {_clip(args.sizes)!r} with --trials {_clip(args.trials, 20)}"
             f" has more than {GEN_LIMIT} vertices plus vertex pairs"
         )
     if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):

@@ -55,7 +55,7 @@ def _fail(message: str) -> int:
 def _out_of_range(flag: str, value: int, low: int, high: int | None = None) -> str:
     """The error for an integer flag outside [low, high], or ''.  The value
     is clipped, so the reason at the end survives _fail's cut."""
-    shown = f"{flag} {_clip(str(value), 20)}"
+    shown = f"{flag} {_clip(value, 20)}"
     if high is not None and value > high:
         return f"{shown} exceeds {high}"
     return f"{shown} is below {low}" if value < low else ""
@@ -80,7 +80,7 @@ def _parse_press(text: str, n: int) -> BitVec:
     for i in indices:
         if not 0 <= i < n:
             # clipped, so the reason at the end survives _fail's cut
-            raise ValueError(f"index {_clip(str(i), 20)} out of range for length {n}")
+            raise ValueError(f"index {_clip(i, 20)} out of range for length {n}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"press vector {_clip(text)!r} repeats an index")
     # the indices are distinct, so the sum sets each bit once
@@ -203,12 +203,11 @@ _COMMANDS = {
 
 class _Standalone:
     """Stands in for the subparsers action a builder in ``_COMMANDS`` adds
-    its command to: the parser it adds is whole, named as the full parser
-    names the command's, and sets ``command`` as the full parser does."""
+    its command to: the parser it adds is whole, and named as the full
+    parser names the command's."""
 
     def add_parser(self, name: str, help: str | None = None, **kw) -> _Parser:
         self.parser = _Parser(prog="allones " + name, **kw)
-        self.parser.set_defaults(command=name)
         return self.parser
 
 

@@ -13,18 +13,16 @@ is the k-th basis vector, packed over the n unknowns (the vertices).
 Two elimination kernels live here, and each pays for its fill rather
 than for a scan of every row or column per pivot.  ``solve`` takes the
 rows of [a | b] packed bit-mirrored, leading column in the top bit and b
-in bit 0: ``lamps`` builds an instance's rows in this layout from
-``_column_bits`` and reads them back with ``_unmirror``, and a natural
-``BitMat`` is mirrored into it.  ``lamps``' dense row build
-fills half of them and ``_or_mirrored`` adds their mirror image across
-the anti-diagonal, a bit-matrix transpose.  ``solve`` feeds the rows
-lightest first (ties to the highest row index), which changes only the
-fill, to ``_basis``; that keys its slots by ``int.bit_length``, so every
-XOR shortens the row it clears.  Reading b as one more free column, it
-back-substitutes the m + 1 systems (gamma's and one per free column) by
-``_by_parity`` or ``_by_walk``, whichever takes fewer steps; both return
-the same mirrored solutions, and ``_unmirror`` reads them out in vertex
-order.
+in bit 0: ``_packed_system`` builds every lamp instance's rows in this
+layout (it describes its two routes), ``_unmirror`` reads one back in
+vertex order, and a natural ``BitMat`` is mirrored into it.  ``solve``
+feeds the rows lightest first (ties to the highest row index), which
+changes only the fill, to ``_basis``; that keys its slots by
+``int.bit_length``, so every XOR shortens the row it clears.  Reading b
+as one more free column, it back-substitutes the m + 1 systems (gamma's
+and one per free column) by ``_by_parity`` or ``_by_walk``, whichever
+takes fewer steps; both return the same mirrored solutions, and
+``_unmirror`` reads them out in vertex order.
 ``_eliminate`` is the Gaussian forward pass with row swaps, driven by a
 list of each row's lowest set bit instead of a scan of the n columns;
 only ``column_echelon_grouped`` uses it, because the grouped echelon
@@ -34,7 +32,7 @@ parts are vertex masks, so no vertex is sorted or permuted.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import compress
 
 # _REV[x] is the byte x with its bit order reversed
@@ -374,6 +372,83 @@ def _or_mirrored(rows: list[int], cols: int) -> list[int]:
     # transposed row 8k + i starts at byte k of row i; rows w - 1, w - 2, ..
     starts = [i * nbytes + k for k in range(nbytes - 1, -1, -1) for i in range(7, -1, -1)]
     return [row | int.from_bytes(flipped[s::width], "big") for row, s in zip(rows, starts)]
+
+
+# the dense route's rule (see _packed_system), measured on sorted edges: at
+# an edge per 16 of the w * w bits it is break-even at 200 vertices and
+# 10-27% faster from 255 to 3000; below 200 vertices it loses there
+_DENSE_MIN_N = 200
+_DENSE_RATIO = 16
+
+
+def _packed_system(
+    cols: int, plus: bytes, off: bytes, edges: Iterable[tuple[int, int]], count: int
+) -> list[int]:
+    """The packed rows of a lamp system on cols vertices and its count
+    edges, each given once in either orientation: row v holds vertex w's
+    column when v's button toggles lamp w (w a neighbor, or v where
+    plus[v] is set), and bit 0 where off[v] is set.  A repeated edge
+    leaves its bits as they were; an endpoint >= cols raises IndexError.
+
+    The route follows from cols and count alone.  ``_loop_route`` ORs each
+    edge into both of its rows.  From _DENSE_MIN_N vertices on, once
+    _DENSE_RATIO * count reaches w * w for rows of w bits, ``_dense_route``
+    ORs each edge into its first endpoint's row only and ``_or_mirrored``
+    adds the other half: one transpose of about w * w bit operations
+    whatever the edge count, with a few w * w-bit ints of transient
+    memory, in place of an OR per edge."""
+    bit = _column_bits(cols)
+    # a row with no flag starts as its table entry: b | 0 would copy a wide int
+    rows = [(b | f if f else b) if p else f for b, p, f in zip(bit, plus, off)]
+    dense = cols >= _DENSE_MIN_N and _DENSE_RATIO * count >= (8 * _row_bytes(cols)) ** 2
+    return (_dense_route if dense else _loop_route)(rows, bit, edges)
+
+
+def _loop_route(rows: list[int], bit: list[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+    for i, j in edges:
+        rows[i] |= bit[j]
+        rows[j] |= bit[i]
+    return rows
+
+
+def _dense_route(rows: list[int], bit: list[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+    for i, j in edges:
+        rows[i] |= bit[j]
+    return _or_mirrored(rows, len(bit))
+
+
+def _packed_endpoints(cols: int, plus: bytes, off: bytes, ends: list[int]) -> list[int] | None:
+    """``_packed_system`` on the edges (ends[2k], ends[2k + 1]), or None
+    unless they are distinct pairs of distinct vertices below cols; every
+    endpoint must be a non-negative int.  The build turns away an endpoint
+    >= cols, and one popcount over the rows finds the other faults: a new
+    edge sets exactly two new bits, a repeated edge, in either orientation,
+    none, and a self-loop at most one, as the dense route's mirror of a
+    diagonal bit is itself."""
+    pairs = iter(ends)
+    try:
+        rows = _packed_system(cols, plus, off, zip(pairs, pairs), len(ends) >> 1)
+    except IndexError:
+        return None
+    if sum(map(int.bit_count, rows)) != len(ends) + plus.count(1) + off.count(1):
+        return None
+    return rows
+
+
+def _upper_pairs(rows: Sequence[int], cols: int) -> list[tuple[int, int]]:
+    """The edges of a lamp system's packed rows: the pairs (i, j), i < j,
+    where row i holds column j, in sorted order."""
+    # column j sits at bit top - j, so bits 1 to top - i - 1 are row i's
+    # columns above i (bit 0 is the right-hand side), read highest first
+    top = 8 * _row_bytes(cols) - 1
+    pairs = []
+    for i, row in enumerate(rows):
+        row &= (1 << (top - i)) - 2
+        while row:
+            k = row.bit_length() - 1
+            pairs.append((i, top - k))
+            row ^= 1 << k
+    return pairs
 
 
 def solve(

@@ -26,16 +26,11 @@ parsed so far, holds both forms of each vertex number's token and turns
 each endpoint token into its vertex with one lookup.  A leading zero, a
 digit beside an 'e' and digits after the last newline each leave a token
 that finds no key, or a slab's first token other than 'e'.
-The bulk path makes no edge tuples and sorts nothing: it builds each
-vertex's row of the linear system directly, in the bit-mirrored layout
-the elimination reads.  On sparse text it ORs each edge into both of its
-rows; on dense text (see ``lamps.Instance._from_endpoints`` for the
-rule) it ORs each edge into one row and mirrors the rows across their
-anti-diagonal in one bit-matrix transpose.  Either row build turns away
-an endpoint >= n, and one popcount over the rows turns away self-loops
-and repeated edges.
-The Instance derives its sorted edges from the rows only when they are
-read.
+The bulk path makes no edge tuples and sorts nothing: the endpoints go
+straight to ``gf2._packed_endpoints``, which builds the rows of the
+linear system (see ``gf2._packed_system``) and turns away a self-loop, a
+repeated edge and an endpoint >= n.  The Instance derives its sorted
+edges from the rows only when they are read.
 Any other text, and any text the bulk path finds a fault in, goes to the
 line-by-line parser, which reads a str; bytes are decoded as UTF-8 for it
 only.  So every other valid layout (comments, blank lines, CRLF, tabs,
@@ -231,12 +226,12 @@ def _parse_lines(text: str) -> Instance:
     except ValueError:
         raise ParseError(header_line, f"vertex count {_clip(fields[1])!r} is not an integer") from None
     if n < 1:
-        raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(str(n))}")
+        raise ParseError(header_line, f"vertex count must be >= 1, got {_clip(n)}")
     # a count too long for int(), which _int cut to 100 digits, can match
     # no switch string, so it is refused before the switch line is read
     if n > VERTEX_LIMIT and len(fields[1].lstrip("+0")) > len(str(n)):
         raise ParseError(
-            header_line, f"vertex count {_clip(str(n))} is above the limit of {VERTEX_LIMIT}"
+            header_line, f"vertex count {_clip(n)} is above the limit of {VERTEX_LIMIT}"
         )
 
     lineno, fields = next_line("the 'switches' line")
@@ -244,7 +239,7 @@ def _parse_lines(text: str) -> Instance:
         raise ParseError(lineno, "expected 'switches <string of +/->'")
     if len(fields[1]) != n:
         raise ParseError(
-            lineno, f"switch string has length {len(fields[1])}, expected {_clip(str(n))}"
+            lineno, f"switch string has length {len(fields[1])}, expected {_clip(n)}"
         )
     # checked once the switch string agrees with the count, and before
     # anything n-sized is built

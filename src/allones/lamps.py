@@ -8,34 +8,26 @@ a press set together with the decomposition behind its bounds.
 
 The instance's linear system A.u = B has one row per vertex v: the
 vertices v's button toggles, and whether lamp v is off.  Its rows are
-packed in the layout ``gf2.solve``'s elimination reads (``gf2`` owns
-it: vertex w's bit comes from ``_column_bits`` and the lamp-off flag is
-bit 0), so the solve path uses them as they are; ``simulate_presses``
-and ``build_system`` read them back in vertex order with ``_unmirror``,
-and ``edges`` reads each row's vertices above its own top-down.
-``_packed_system`` builds these rows by one of two routes.  The edge
-loop ORs each edge into both of its rows.  The dense build ORs each edge
-into one row and adds the other half in one transpose
-(``gf2._or_mirrored``), which costs about w * w bit operations for rows
-of w bits whatever the edge count, and a few w * w-bit ints of transient
-memory.  ``Instance._from_endpoints`` takes it from 200 vertices on, once
-there is an edge per 16 of the w * w bits; every other caller loops.
+packed in the layout ``gf2.solve``'s elimination reads, so the solve
+path uses them as they are; ``gf2._packed_system`` builds them for every
+instance, and ``simulate_presses`` and ``build_system`` read them back
+in vertex order with ``_unmirror``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from enum import Enum
-from operator import index
+from operator import index, is_
 
 from .gf2 import (
     BitMat,
     BitVec,
     EchelonDecomposition,
-    _column_bits,
-    _or_mirrored,
-    _row_bytes,
+    _packed_endpoints,
+    _packed_system,
     _unmirror,
+    _upper_pairs,
 )
 
 
@@ -46,8 +38,13 @@ class SwitchType(Enum):
     SIGMA = "-"  # toggles the neighbors only
 
 
-def _clip(text: str, width: int = 40) -> str:
-    """Input text to echo in a message, cut to width characters and '...'."""
+def _clip(text: str | int, width: int = 40) -> str:
+    """Text or an integer to echo in a message, cut to width characters and
+    '...'.  An integer is cut to 100-odd digits first, so str() takes it."""
+    if isinstance(text, int):
+        # 0.30103 is log10(2) rounded up, so 100 digits or more stay
+        drop = max(0, (abs(text).bit_length() - 1) * 30103 // 100000 - 100)
+        text = "-" * (text < 0) + str(abs(text) // 10**drop)
     return text if len(text) <= width else text[:width] + "..."
 
 
@@ -105,7 +102,7 @@ class Instance:
             except TypeError:
                 raise EdgeError(idx, f"edge ({i!r}, {j!r}) has a non-integer endpoint") from None
             if not (0 <= i < n and 0 <= j < n):
-                shown = f"{_clip(str(i), 20)}, {_clip(str(j), 20)}"
+                shown = f"{_clip(i, 20)}, {_clip(j, 20)}"
                 raise EdgeError(idx, f"edge ({shown}) out of range for {n} vertices")
             if i == j:
                 raise EdgeError(idx, f"self-loop at vertex {i}")
@@ -146,33 +143,13 @@ class Instance:
         initially_on: BitVec,
     ) -> Instance | None:
         """The instance on edges (ends[2k], ends[2k + 1]), or None where
-        __init__ would raise; it never raises.
-
-        Every endpoint must already be a non-negative int, as the bulk
-        parser's vertex table guarantees, and switches and initially_on
-        must hold n entries.  The graph is kept as the system's packed
-        rows, built straight from the endpoints: by the dense build when
-        there are at least _DENSE_MIN_N vertices and _DENSE_RATIO times
-        the edge count reaches the row width squared, and by the edge loop
-        otherwise (see ``_packed_system``).  Either build turns away an
-        endpoint >= n, which indexes past its length-n lists, and one
-        popcount over the rows finds the other faults: a new edge sets
-        exactly two new bits, a repeated edge, in either orientation, none,
-        and a self-loop at most one, as the dense build's mirror of a
-        diagonal bit is itself.
+        __init__ would raise; it never raises.  Every endpoint must already
+        be a non-negative int, as the bulk parser's vertex table guarantees,
+        and switches and initially_on must hold n entries.  The graph is
+        kept as the packed rows ``gf2._packed_endpoints`` builds and checks.
         """
-        # the transpose costs about width squared bit operations whatever
-        # the edge count, and saves one row OR per edge
-        width = 8 * _row_bytes(n)
-        dense = n >= _DENSE_MIN_N and _DENSE_RATIO * (len(ends) >> 1) >= width * width
-        pairs = iter(ends)
-        try:
-            rows = _packed_system(n, switches, initially_on, zip(pairs, pairs), dense)
-        except IndexError:
-            return None
-        plus = switches.count(SwitchType.SIGMA_PLUS)
-        off = n - initially_on.weight
-        if sum(map(int.bit_count, rows)) != len(ends) + plus + off:
+        rows = _packed_endpoints(n, *_flags(switches, initially_on), ends)
+        if rows is None:
             return None
         self = cls.__new__(cls)
         self.n = n
@@ -186,27 +163,15 @@ class Instance:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as a sorted tuple of (min, max) pairs."""
         if self._edges is None:
-            # vertex j sits at bit top - j, so bits 1 to top - i - 1 are
-            # row i's vertices above i (bit 0 is the lamp-off flag), and
-            # highest bit first, (i, j) comes out in sorted order
-            top = 8 * _row_bytes(self.n) - 1
-            edges = []
-            for i, row in enumerate(self._rows):
-                row &= (1 << (top - i)) - 2
-                while row:
-                    k = row.bit_length() - 1
-                    edges.append((i, top - k))
-                    row ^= 1 << k
-            self._edges = tuple(edges)
+            self._edges = tuple(_upper_pairs(self._rows, self.n))
         return self._edges
 
     def _packed_rows(self) -> tuple[int, ...]:
-        """The rows of [A | B] in the layout ``gf2.solve`` eliminates:
-        row v holds vertex w's bit when v's button toggles lamp w, and
-        bit 0 when lamp v is off."""
+        """The rows of [A | B] as ``gf2._packed_system`` builds them."""
         if self._rows is not None:
             return self._rows
-        return tuple(_packed_system(self.n, self.switches, self.initially_on, self.edges))
+        flags = _flags(self.switches, self.initially_on)
+        return tuple(_packed_system(self.n, *flags, self.edges, len(self.edges)))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -231,46 +196,12 @@ class Instance:
 # a lamp's state character to its lamp-off flag, one byte each
 _OFF_FLAG = bytes.maketrans(b"01", b"\x01\x00")
 
-# _from_endpoints builds the rows densely (see _packed_system) from this
-# many vertices on, once the edges times this ratio reach the row width
-# squared.  Both are measured crossovers on sorted edges: at an edge per 16
-# of the w * w bits the dense build is break-even at 200 vertices and
-# 10-27% faster from 255 to 3000; below 200 vertices it loses there
-_DENSE_MIN_N = 200
-_DENSE_RATIO = 16
 
-
-def _packed_system(
-    n: int,
-    switches: Sequence[SwitchType],
-    initially_on: BitVec,
-    edges: Iterable[tuple[int, int]],
-    dense: bool = False,
-) -> list[int]:
-    """The system's packed rows (see ``Instance._packed_rows``): per vertex
-    v, the vertices v's button toggles, and the lamp-off flag at bit 0.
-    Each edge is given once, in either orientation; a repeated edge
-    leaves its bits as they were, and an endpoint >= n raises
-    IndexError.
-
-    The edge loop ORs each edge into both of its rows.  With dense set,
-    it ORs each edge into its first endpoint's row only, and
-    ``gf2._or_mirrored`` then adds every row's mirror image, which holds
-    the other half: one transpose of the rows' bits in place of an OR per
-    edge."""
-    bit = _column_bits(n)
-    off = initially_on.to01().encode().translate(_OFF_FLAG)
-    plus = SwitchType.SIGMA_PLUS
-    # a row with no flag starts as its table entry: b | 0 would copy a wide int
-    rows = [(b | f if f else b) if s is plus else f for b, s, f in zip(bit, switches, off)]
-    if dense:
-        for i, j in edges:
-            rows[i] |= bit[j]
-        return _or_mirrored(rows, n)
-    for i, j in edges:
-        rows[i] |= bit[j]
-        rows[j] |= bit[i]
-    return rows
+def _flags(switches: Sequence[SwitchType], initially_on: BitVec) -> tuple[bytes, bytes]:
+    """Per vertex, a byte each: whether its button toggles its own lamp,
+    and whether its lamp is off."""
+    plus = bytes(map(is_, switches, [SwitchType.SIGMA_PLUS] * len(switches)))
+    return plus, initially_on.to01().encode().translate(_OFF_FLAG)
 
 
 class Solution:

@@ -905,6 +905,10 @@ class TestParserBuild:
     )
     def test_one_command_parser_parses_like_the_full_one(self, argv, capsys):
         full = self.outcome(cli._build_parser().parse_args, argv, capsys)
+        if not isinstance(full[0], int):
+            # the full parser's subparsers action alone stores the command
+            # name, which nothing reads; every other attribute must agree
+            assert vars(full[0]).pop("command") == argv[0]
         assert self.outcome(cli._parse_args, argv, capsys) == full
 
     @pytest.mark.parametrize(

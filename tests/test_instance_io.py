@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from allones import instance_io, lamps
+from allones import gf2, instance_io, lamps
 from allones.generators import (
     SplitMix64,
     gen_complete,
@@ -343,8 +343,14 @@ def _mixed_dense(n=300, seed=2):
     switches = tuple(SwitchType.SIGMA if rng.below(2) else SwitchType.SIGMA_PLUS for _ in range(n))
     inst = Instance(n, inst.edges, switches, BitVec(n, rng.bits(n)))
     width = 8 * (n // 8 + 1)
-    assert lamps._DENSE_RATIO * len(inst.edges) >= width * width
+    assert gf2._DENSE_RATIO * len(inst.edges) >= width * width
     return inst, render_instance(inst)
+
+
+def _loop_rows(inst):
+    """inst's rows by the edge loop, called directly."""
+    start = gf2._packed_system(inst.n, *lamps._flags(inst.switches, inst.initially_on), (), 0)
+    return tuple(gf2._loop_route(start, gf2._column_bits(inst.n), inst.edges))
 
 
 class TestDenseRoute:
@@ -352,13 +358,13 @@ class TestDenseRoute:
     def routes(self, monkeypatch):
         """The vertex counts the dense row build ran for."""
         calls = []
-        mirror = lamps._or_mirrored
+        mirror = gf2._or_mirrored
 
         def spy(rows, cols):
             calls.append(cols)
             return mirror(rows, cols)
 
-        monkeypatch.setattr(lamps, "_or_mirrored", spy)
+        monkeypatch.setattr(gf2, "_or_mirrored", spy)
         return calls
 
     @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
@@ -373,9 +379,16 @@ class TestDenseRoute:
         parsed = _parse_canonical("".join(head + edge_lines))
         assert routes == [inst.n]
         assert parsed == inst
-        assert parsed._packed_rows() == tuple(
-            lamps._packed_system(inst.n, inst.switches, inst.initially_on, inst.edges)
-        )
+        assert parsed._packed_rows() == _loop_rows(inst)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_constructed_dense_instance_takes_the_dense_build(self, routes, mixed):
+        inst, text = _mixed_dense() if mixed else (gen_random_gnp(300, 0.5, seed=1), None)
+        rows = inst._packed_rows()
+        assert inst._rows is None and routes == [inst.n]
+        assert rows == _loop_rows(inst)
+        parsed = _parse_canonical(text or render_instance(inst))
+        assert parsed._rows == rows
 
     # 255 and 256 straddle a power of two in the row width W, 200 is the
     # rule's vertex minimum
@@ -385,7 +398,7 @@ class TestDenseRoute:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [(j, i) if rng.getrandbits(1) else (i, j) for i, j in rng.sample(pairs, len(pairs) // 2)]
         width = 8 * (n // 8 + 1)
-        assert lamps._DENSE_RATIO * len(edges) >= width * width
+        assert gf2._DENSE_RATIO * len(edges) >= width * width
         switches = tuple(SwitchType.SIGMA if rng.getrandbits(1) else SwitchType.SIGMA_PLUS for _ in range(n))
         inst = Instance(n, edges, switches, BitVec(n, rng.getrandbits(n)))
         # the sample is in random order, each edge in a random orientation
@@ -429,7 +442,7 @@ class TestDenseRoute:
         def refuse(rows, cols):
             raise AssertionError(f"dense row build for {cols} vertices")
 
-        monkeypatch.setattr(lamps, "_or_mirrored", refuse)
+        monkeypatch.setattr(gf2, "_or_mirrored", refuse)
         # the benchmark's small inputs are n 8 to 24 at these densities
         insts = [
             gen_random_mixed(n, p, seed=n) for n in range(1, 25) for p in (0.2, 0.5, 0.8, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from allones import lamps
+from allones import gf2, lamps
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _or_mirrored, _row_bytes
 from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
@@ -41,12 +41,16 @@ class TestInstanceValidation:
         assert exc.value.index == 0
 
     def test_out_of_range_endpoints_are_clipped(self):
-        # the message ends in its reason however long the endpoints are
-        with pytest.raises(EdgeError) as exc:
-            Instance(3, [(-(10**30), 10**50)])
-        assert str(exc.value) == (
-            "edge (-1000000000000000000..., 10000000000000000000...) out of range for 3 vertices"
-        )
+        # the message ends in its reason however long the endpoints are,
+        # past the 4300 digits str() converts too
+        for n, edge, shown in [
+            (3, (-(10**30), 10**50), "-1000000000000000000..., 10000000000000000000..."),
+            (2, (0, 10**5000), "0, 10000000000000000000..."),
+        ]:
+            with pytest.raises(EdgeError) as exc:
+                Instance(n, [edge])
+            assert exc.value.index == 0
+            assert str(exc.value) == f"edge ({shown}) out of range for {n} vertices"
 
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
@@ -151,8 +155,9 @@ class TestBuildSystem:
 
 
 class TestDenseBuild:
-    """The dense row build, one OR per edge and then ``gf2._or_mirrored``,
-    gives the edge loop's rows; ``_from_endpoints`` picks it by the rule."""
+    """``gf2._dense_route``, one OR per edge and then ``gf2._or_mirrored``,
+    gives ``gf2._loop_route``'s rows, and ``gf2._packed_system`` picks it by
+    the rule for constructed and parsed instances alike."""
 
     # 127/128, 255/256 and 511/512 are where the row width passes a power
     # of two; 199/200 straddle the rule's vertex minimum; 1, 7 and 8 are a
@@ -178,25 +183,34 @@ class TestDenseBuild:
         rng = random.Random(1000 + n)
         width = 8 * _row_bytes(n)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        threshold = -(-width * width // lamps._DENSE_RATIO)
+        threshold = -(-width * width // gf2._DENSE_RATIO)
+        bit = gf2._column_bits(n)
         routes = []
-        mirror = lamps._or_mirrored
-        monkeypatch.setattr(lamps, "_or_mirrored", lambda rows, cols: routes.append(cols) or mirror(rows, cols))
+        mirror = gf2._or_mirrored
+        monkeypatch.setattr(gf2, "_or_mirrored", lambda rows, cols: routes.append(cols) or mirror(rows, cols))
         for count in (threshold - 1, threshold, threshold + 1, len(pairs)):
             count = min(count, len(pairs))
             # shuffled order, each edge in a random orientation
             edges = [(j, i) if rng.getrandbits(1) else (i, j) for i, j in rng.sample(pairs, count)]
             switches = tuple(MINUS if rng.getrandbits(1) else PLUS for _ in range(n))
             on = BitVec(n, rng.getrandbits(n))
-            loop = lamps._packed_system(n, switches, on, edges)
-            assert lamps._packed_system(n, switches, on, edges, dense=True) == loop
-            assert list(Instance(n, edges, switches, on)._packed_rows()) == loop
-            ends = [v for edge in edges for v in edge]
+            plus, off = lamps._flags(switches, on)
+            # each route called directly, on the rows the builder starts from
+            start = gf2._packed_system(n, plus, off, (), 0)
             routes.clear()
-            parsed = Instance._from_endpoints(n, ends, switches, on)
-            assert list(parsed._rows) == loop
-            dense = n >= lamps._DENSE_MIN_N and count >= threshold
-            assert routes == ([n] if dense else [])
+            loop = gf2._loop_route(list(start), bit, edges)
+            assert routes == []
+            assert gf2._dense_route(list(start), bit, edges) == loop
+            assert routes == [n]
+            # the builder's own choice, for a constructed and a parsed instance
+            dense = n >= gf2._DENSE_MIN_N and count >= threshold
+            for build in (
+                lambda: Instance(n, edges, switches, on)._packed_rows(),
+                lambda: Instance._from_endpoints(n, [v for edge in edges for v in edge], switches, on)._rows,
+            ):
+                routes.clear()
+                assert list(build()) == loop
+                assert routes == ([n] if dense else [])
 
 
 class TestSimulate:
