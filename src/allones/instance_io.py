@@ -26,11 +26,13 @@ parsed so far, holds both forms of each vertex number's token and turns
 each endpoint token into its vertex with one lookup.  A leading zero, a
 digit beside an 'e' and digits after the last newline each leave a token
 that finds no key, or a slab's first token other than 'e'.
-The bulk path makes no edge tuples and sorts nothing: the endpoints go
-straight to ``gf2._packed_endpoints``, which builds the rows of the
-linear system (see ``gf2._packed_system``) and turns away a self-loop, a
-repeated edge and an endpoint >= n.  The Instance derives its sorted
-edges from the rows only when they are read.
+The bulk path makes no edge tuples, switch-type tuple or BitVec and
+sorts nothing: the Instance keeps the header's switch and state bytes as
+they were read, and the endpoints go straight to
+``gf2._packed_endpoints``, which builds the rows of the linear system
+(see ``gf2._packed_system``) and turns away a self-loop, a repeated edge
+and an endpoint >= n.  The Instance derives its sorted edges from the
+rows only when they are read.
 Any other text, and any text the bulk path finds a fault in, goes to the
 line-by-line parser, which reads a str; bytes are decoded as UTF-8 for it
 only.  So every other valid layout (comments, blank lines, CRLF, tabs,
@@ -47,7 +49,7 @@ from collections.abc import Iterator
 from operator import itemgetter
 
 from .gf2 import BitVec
-from .lamps import EdgeError, Instance, SwitchType, _clip
+from .lamps import _SWITCH_OF, EdgeError, Instance, SwitchType, _clip
 
 
 class ParseError(ValueError):
@@ -80,8 +82,6 @@ def _int(text: str) -> int:
 # away, so an integer flag's reads "invalid int value", as with int
 _int.__name__ = "int"
 
-
-_SWITCH_OF = {s.value: s for s in SwitchType}
 
 # most vertices an instance read from text may have: each vertex gets an
 # n-bit row, so memory grows as n squared whatever the edge count;
@@ -177,8 +177,7 @@ def _parse_canonical(text: str | bytes) -> Instance | None:
     ends = _edge_endpoints(text, header.end(), n)
     if ends is None:
         return None
-    switches = parse_switch_string(header[2].decode())
-    return Instance._from_endpoints(n, ends, switches, BitVec.from01(header[3].decode()))
+    return Instance._from_endpoints(n, ends, header[2], header[3])
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -290,8 +289,8 @@ def render_instance(inst: Instance) -> str:
     """Canonical text for an instance (inverse of parse_instance)."""
     out = [
         f"allones {inst.n}",
-        "switches " + "".join(s.value for s in inst.switches),
-        "on " + inst.initially_on.to01(),
+        "switches " + inst._kinds.decode(),
+        "on " + inst._lamps.decode(),
     ]
     out.extend(f"e {i} {j}" for i, j in inst.edges)
     return "\n".join(out) + "\n"

@@ -6,12 +6,13 @@ neighbors' lamps; a SIGMA button toggles the neighbors' lamps only.  The
 goal is a press set that leaves every lamp on.  ``Solution`` holds such
 a press set together with the decomposition behind its bounds.
 
-The instance's linear system A.u = B has one row per vertex v: the
-vertices v's button toggles, and whether lamp v is off.  Its rows are
-packed in the layout ``gf2.solve``'s elimination reads, so the solve
-path uses them as they are; ``gf2._packed_system`` builds them for every
-instance, and ``simulate_presses`` and ``build_system`` read them back
-in vertex order with ``_unmirror``.
+An instance keeps its switch types and lamp states as the text format's
+header strings, in bytes (b"+-+...", b"010...").  Its linear system A.u =
+B has one row per vertex v: the vertices v's button toggles, and whether
+lamp v is off.  Its rows are packed in the layout ``gf2.solve`` reads, so
+the solve path uses them as they are; ``gf2._packed_system`` builds them
+from one translate of each header string, and ``simulate_presses`` and
+``build_system`` read them back in vertex order with ``_unmirror``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ class SwitchType(Enum):
 
     SIGMA_PLUS = "+"  # toggles the vertex and its neighbors
     SIGMA = "-"  # toggles the neighbors only
+
+
+_SWITCH_OF = {s.value: s for s in SwitchType}
+
+# a header character to the row builder's flag byte (a '+' switch toggles
+# its own lamp, and a '0' lamp is off), and a SIGMA_PLUS flag to its character
+_FLAG = bytes.maketrans(b"+-01", b"\x01\x00\x01\x00")
+_KIND = bytes.maketrans(b"\x01\x00", b"+-")
 
 
 def _clip(text: str | int, width: int = 40) -> str:
@@ -67,14 +76,15 @@ class Instance:
     self-loops, duplicate edges and out-of-range endpoints are rejected
     with an EdgeError naming the first bad edge in input order.
 
-    The constructor keeps the edge tuple, O(edges) space, and packs the
-    system's rows (see the module docstring) each time they are read.  The
-    bulk parse path keeps the packed rows instead and derives ``edges``
-    from them on first use.  Either way an instance holds one layout of
-    the rows at most.
+    The read-only ``switches`` and ``initially_on`` build a tuple and a
+    BitVec from the header bytes on each read.  The constructor keeps the
+    edge tuple, O(edges) space, and packs the system's rows each time they
+    are read.  The bulk parse path keeps the packed rows instead and
+    derives ``edges`` from them on first use.  Either way an instance
+    holds one layout of the rows at most.
     """
 
-    __slots__ = ("n", "switches", "initially_on", "_edges", "_rows")
+    __slots__ = ("n", "_kinds", "_lamps", "_edges", "_rows")
 
     def __init__(
         self,
@@ -86,7 +96,7 @@ class Instance:
         try:
             n = index(n)
         except TypeError:
-            raise ValueError(f"vertex count {n!r} is not an integer") from None
+            raise ValueError(f"vertex count {_clip(repr(n))} is not an integer") from None
         if n < 1:
             raise ValueError("an instance needs at least one vertex")
         canon = []
@@ -95,12 +105,13 @@ class Instance:
             try:
                 i, j = edge
             except (TypeError, ValueError):
-                raise EdgeError(idx, f"edge {edge!r} is not a pair of endpoints") from None
+                raise EdgeError(idx, f"edge {_clip(repr(edge))} is not a pair of endpoints") from None
             try:
                 # bools and numpy ints become plain ints; floats and strings fail
                 i, j = index(i), index(j)
             except TypeError:
-                raise EdgeError(idx, f"edge ({i!r}, {j!r}) has a non-integer endpoint") from None
+                shown = f"{_clip(repr(i), 20)}, {_clip(repr(j), 20)}"
+                raise EdgeError(idx, f"edge ({shown}) has a non-integer endpoint") from None
             if not (0 <= i < n and 0 <= j < n):
                 shown = f"{_clip(i, 20)}, {_clip(j, 20)}"
                 raise EdgeError(idx, f"edge ({shown}) out of range for {n} vertices")
@@ -111,53 +122,59 @@ class Instance:
                 raise EdgeError(idx, f"duplicate edge {e}")
             seen.add(e)
             canon.append(e)
-        if switches is None:
-            switches = (SwitchType.SIGMA_PLUS,) * n
-        switches = tuple(switches)
-        if len(switches) != n:
-            raise ValueError(f"expected {n} switch types, got {len(switches)}")
-        if any(not isinstance(s, SwitchType) for s in switches):
-            raise ValueError("switches must be SwitchType values")
-        if initially_on is None:
-            initially_on = BitVec.zeros(n)
-        if not isinstance(initially_on, BitVec):
-            raise ValueError(f"initially_on must be a BitVec, not {type(initially_on).__name__}")
-        if initially_on.n != n:
-            raise ValueError(
-                f"initially_on has length {initially_on.n}, expected {n}"
-            )
+        kinds = b"+" * n
+        if switches is not None:
+            switches = tuple(switches)
+            if len(switches) != n:
+                raise ValueError(f"expected {n} switch types, got {len(switches)}")
+            if any(not isinstance(s, SwitchType) for s in switches):
+                raise ValueError("switches must be SwitchType values")
+            # Enum.value is a Python-level property, so one is_ per vertex instead
+            kinds = bytes(map(is_, switches, [SwitchType.SIGMA_PLUS] * n)).translate(_KIND)
+        lamps = b"0" * n
+        if initially_on is not None:
+            if not isinstance(initially_on, BitVec):
+                raise ValueError(f"initially_on must be a BitVec, not {type(initially_on).__name__}")
+            if initially_on.n != n:
+                raise ValueError(f"initially_on has length {initially_on.n}, expected {n}")
+            lamps = initially_on.to01().encode()
         self.n = n
         # sorting the list, not the set, keeps an already sorted input cheap
         canon.sort()
         self._edges = tuple(canon)
         self._rows = None
-        self.switches = switches
-        self.initially_on = initially_on
+        self._kinds = kinds
+        self._lamps = lamps
 
     @classmethod
-    def _from_endpoints(
-        cls,
-        n: int,
-        ends: list[int],
-        switches: tuple[SwitchType, ...],
-        initially_on: BitVec,
-    ) -> Instance | None:
+    def _from_endpoints(cls, n: int, ends: list[int], kinds: bytes, lamps: bytes) -> Instance | None:
         """The instance on edges (ends[2k], ends[2k + 1]), or None where
         __init__ would raise; it never raises.  Every endpoint must already
         be a non-negative int, as the bulk parser's vertex table guarantees,
-        and switches and initially_on must hold n entries.  The graph is
+        and kinds and lamps valid header strings of n bytes.  The graph is
         kept as the packed rows ``gf2._packed_endpoints`` builds and checks.
         """
-        rows = _packed_endpoints(n, *_flags(switches, initially_on), ends)
+        self = cls.__new__(cls)
+        self.n, self._kinds, self._lamps, self._edges = n, kinds, lamps, None
+        rows = _packed_endpoints(n, *self._flag_bytes(), ends)
         if rows is None:
             return None
-        self = cls.__new__(cls)
-        self.n = n
-        self._edges = None
         self._rows = tuple(rows)
-        self.switches = switches
-        self.initially_on = initially_on
         return self
+
+    def _flag_bytes(self) -> tuple[bytes, bytes]:
+        """Per vertex, a flag byte each: its button toggles its lamp; its lamp is off."""
+        return self._kinds.translate(_FLAG), self._lamps.translate(_FLAG)
+
+    @property
+    def switches(self) -> tuple[SwitchType, ...]:
+        """The switch type of each vertex, in vertex order."""
+        return tuple(map(_SWITCH_OF.__getitem__, self._kinds.decode()))
+
+    @property
+    def initially_on(self) -> BitVec:
+        """The lamps that are on before any press."""
+        return BitVec.from01(self._lamps.decode())
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -170,38 +187,22 @@ class Instance:
         """The rows of [A | B] as ``gf2._packed_system`` builds them."""
         if self._rows is not None:
             return self._rows
-        flags = _flags(self.switches, self.initially_on)
-        return tuple(_packed_system(self.n, *flags, self.edges, len(self.edges)))
+        return tuple(_packed_system(self.n, *self._flag_bytes(), self.edges, len(self.edges)))
+
+    def _key(self) -> tuple:
+        return self.n, self._kinds, self._lamps, self.edges
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Instance)
-            and self.n == other.n
-            and self.edges == other.edges
-            and self.switches == other.switches
-            and self.initially_on == other.initially_on
-        )
+        return isinstance(other, Instance) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.switches, self.initially_on))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        kinds = "".join(s.value for s in self.switches)
         return (
             f"Instance(n={self.n}, edges={len(self.edges)}, "
-            f"switches={kinds!r}, on={self.initially_on.to01()!r})"
+            f"switches={self._kinds.decode()!r}, on={self._lamps.decode()!r})"
         )
-
-
-# a lamp's state character to its lamp-off flag, one byte each
-_OFF_FLAG = bytes.maketrans(b"01", b"\x01\x00")
-
-
-def _flags(switches: Sequence[SwitchType], initially_on: BitVec) -> tuple[bytes, bytes]:
-    """Per vertex, a byte each: whether its button toggles its own lamp,
-    and whether its lamp is off."""
-    plus = bytes(map(is_, switches, [SwitchType.SIGMA_PLUS] * len(switches)))
-    return plus, initially_on.to01().encode().translate(_OFF_FLAG)
 
 
 class Solution:

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from allones import gf2, instance_io, lamps
+from allones import gf2, instance_io
 from allones.generators import (
     SplitMix64,
     gen_complete,
@@ -50,6 +50,30 @@ class TestFormat:
         for _ in range(500):
             inst = random_instance(rnd, max_n=40)
             assert parse_instance(render_instance(inst)) == inst
+
+    def test_canonical_parse_keeps_the_header_bytes(self, monkeypatch):
+        # the bulk path builds no switch-type tuple or BitVec; the line
+        # parser still reads the two header strings through these two
+        text = "allones 3\nswitches +-+\non 100\ne 0 1\ne 2 1\n"
+        want = Instance(3, [(0, 1), (1, 2)], tuple(map(SwitchType, "+-+")), BitVec.from01("100"))
+
+        def refuse(name):
+            def call(*args):
+                raise LookupError(name)
+
+            return call
+
+        monkeypatch.setattr(instance_io, "parse_switch_string", refuse("parse_switch_string"))
+        monkeypatch.setattr(BitVec, "from01", refuse("from01"))
+        inst = parse_instance(text)
+        with pytest.raises(LookupError, match="parse_switch_string"):
+            _parse_lines(text)
+        monkeypatch.setattr(instance_io, "parse_switch_string", parse_switch_string)
+        with pytest.raises(LookupError, match="from01"):
+            _parse_lines(text)
+        monkeypatch.undo()
+        assert inst == want
+        assert (inst.switches, inst.initially_on) == (want.switches, want.initially_on)
 
     def test_edge_order_is_normalized(self):
         text = "allones 3\nswitches +++\non 000\ne 2 1\ne 1 0\n"
@@ -349,7 +373,7 @@ def _mixed_dense(n=300, seed=2):
 
 def _loop_rows(inst):
     """inst's rows by the edge loop, called directly."""
-    start = gf2._packed_system(inst.n, *lamps._flags(inst.switches, inst.initially_on), (), 0)
+    start = gf2._packed_system(inst.n, *inst._flag_bytes(), (), 0)
     return tuple(gf2._loop_route(start, gf2._column_bits(inst.n), inst.edges))
 
 

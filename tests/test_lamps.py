@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from allones import gf2, lamps
+from allones import gf2
 from allones.gf2 import BitMat, BitVec, EchelonDecomposition, _mirror, _or_mirrored, _row_bytes
 from allones.instance_io import parse_instance, render_instance
 from allones.lamps import (
@@ -81,28 +81,54 @@ class TestInstanceValidation:
         assert type(inst.n) is int and inst.n == n
         assert parse_instance(render_instance(inst)) == inst
 
-    @pytest.mark.parametrize("bad", [2.5, "3"])
+    # each last input has a repr of 100,000 characters or more, which the
+    # message clips
+    @pytest.mark.parametrize("bad", [2.5, "3", pytest.param("9" * 100000, id="long")])
     def test_rejects_non_integer_vertex_count(self, bad):
-        with pytest.raises(ValueError, match="vertex count"):
+        with pytest.raises(ValueError, match="vertex count") as exc:
             Instance(bad, [])
+        assert str(exc.value).endswith(" is not an integer")
+        assert len(str(exc.value)) < 200
 
-    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    @pytest.mark.parametrize("bad", [0.5, "1", None, pytest.param("9" * 100000, id="long")])
     def test_rejects_non_integer_endpoint(self, bad):
         with pytest.raises(EdgeError, match="non-integer") as exc:
             Instance(3, [(0, 1), (bad, 2)])
         assert exc.value.index == 1
+        assert str(exc.value).endswith(" has a non-integer endpoint")
+        assert len(str(exc.value)) < 200
 
-    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,), 5])
+    @pytest.mark.parametrize("bad", [(0, 1, 2), (1,), 5, pytest.param(list(range(100000)), id="long")])
     def test_rejects_edge_that_is_not_a_pair(self, bad):
         with pytest.raises(EdgeError, match="not a pair") as exc:
             Instance(3, [(0, 1), bad])
         assert exc.value.index == 1
+        assert str(exc.value).endswith(" is not a pair of endpoints")
+        assert len(str(exc.value)) < 200
 
     def test_edges_are_canonicalized(self):
         a = Instance(3, [(2, 1), (1, 0)])
         b = Instance(3, [(0, 1), (1, 2)])
         assert a == b
         assert a.edges == ((0, 1), (1, 2))
+
+    def test_switches_and_lamps_are_read_only_views_of_header_bytes(self):
+        inst = Instance(3, [(0, 1)], (PLUS, MINUS, PLUS), BitVec.from01("010"))
+        for x in (inst, parse_instance(render_instance(inst))):
+            with pytest.raises(AttributeError):
+                x.switches = (PLUS,) * 3
+            with pytest.raises(AttributeError):
+                x.initially_on = BitVec.zeros(3)
+            assert x.switches == (PLUS, MINUS, PLUS)
+            assert x.initially_on == BitVec.from01("010")
+            assert (x._kinds, x._lamps) == (b"+-+", b"010")
+            # no slot holds a BitVec or a tuple of switch types
+            for value in map(x.__getattribute__, Instance.__slots__):
+                assert not isinstance(value, BitVec)
+                assert not (isinstance(value, tuple) and any(isinstance(v, SwitchType) for v in value))
+        default = Instance(2)
+        assert (default._kinds, default._lamps) == (b"++", b"00")
+        assert default.switches == (PLUS, PLUS) and default.initially_on == BitVec.zeros(2)
 
 
 class TestBuildSystem:
@@ -194,7 +220,9 @@ class TestDenseBuild:
             edges = [(j, i) if rng.getrandbits(1) else (i, j) for i, j in rng.sample(pairs, count)]
             switches = tuple(MINUS if rng.getrandbits(1) else PLUS for _ in range(n))
             on = BitVec(n, rng.getrandbits(n))
-            plus, off = lamps._flags(switches, on)
+            # the header strings a parse hands over, and their flag bytes
+            kinds, lit = "".join(s.value for s in switches).encode(), on.to01().encode()
+            plus, off = Instance(n, (), switches, on)._flag_bytes()
             # each route called directly, on the rows the builder starts from
             start = gf2._packed_system(n, plus, off, (), 0)
             routes.clear()
@@ -206,7 +234,7 @@ class TestDenseBuild:
             dense = n >= gf2._DENSE_MIN_N and count >= threshold
             for build in (
                 lambda: Instance(n, edges, switches, on)._packed_rows(),
-                lambda: Instance._from_endpoints(n, [v for edge in edges for v in edge], switches, on)._rows,
+                lambda: Instance._from_endpoints(n, [v for edge in edges for v in edge], kinds, lit)._rows,
             ):
                 routes.clear()
                 assert list(build()) == loop

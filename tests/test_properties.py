@@ -62,7 +62,12 @@ def _first_bad(n, items):
 @settings(deadline=None)
 @given(instances())
 def test_render_parse_round_trip(inst):
-    assert parse_instance(render_instance(inst)) == inst
+    parsed = parse_instance(render_instance(inst))
+    assert parsed == inst
+    assert hash(parsed) == hash(inst)
+    assert repr(parsed) == repr(inst)
+    assert parsed.switches == inst.switches
+    assert parsed.initially_on == inst.initially_on
 
 
 @settings(deadline=None)
