@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .approx import solve_approx
 from .exact import PRESS_LIMIT, exact_by_nullspace, exact_by_press_enumeration
-from .generators import GEN_LIMIT, SplitMix64, gen_random_mixed
+from .generators import _MASK64, GEN_LIMIT, SplitMix64, gen_random_mixed
 from .instance_io import _int
 from .lamps import _clip, is_all_on, simulate_presses
 
@@ -198,6 +198,9 @@ def _cmd_bench(args) -> int:
         )
     if bad := _out_of_range("--oracle-limit", args.oracle_limit, 0, PRESS_LIMIT):
         return _fail(bad)
+    # SplitMix64 would take the seed mod 2**64, so two seeds would alias
+    if bad := _out_of_range("--seed", args.seed, 0, _MASK64):
+        return _fail(bad)
     report = run_bench(sizes, args.trials, args.seed, oracle_limit=args.oracle_limit)
     if args.output == "json":
         print(json.dumps(report, indent=2))
@@ -210,7 +213,7 @@ def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="run the random corpus with invariant checks")
     p.add_argument("--sizes", default="8,10,12", help="comma-separated vertex counts")
     p.add_argument("--trials", type=_int, default=100, help="instances per size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument(
         "--oracle-limit",
         type=_int,

@@ -1,16 +1,19 @@
 """Graph generators, the splitmix64 PRNG they draw from, and the `gen` command.
 
-Only `allones gen` and the generator names of `allones` load this module,
-and it loads the CLI only when the command runs.
+``gen_random_mixed`` writes its header strings straight from its random
+bits.  `gen` takes a --seed from 0 to 2**64 - 1, the PRNG's state, and
+checks --switches and --on as the line parser checks the header strings,
+then puts them on the instance it generated.  Only `allones gen` and the
+generator names of `allones` load this module, and it loads the CLI only
+when the command runs.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .gf2 import BitVec
-from .instance_io import VERTEX_LIMIT, _int, parse_switch_string, render_instance
-from .lamps import Instance, SwitchType, _clip
+from .instance_io import VERTEX_LIMIT, _header_bytes, _int, render_instance
+from .lamps import Instance, _clip
 
 _MASK64 = (1 << 64) - 1
 
@@ -119,13 +122,10 @@ def gen_random_mixed(n: int, p: float, seed: int) -> Instance:
     """
     rng = SplitMix64(seed)
     edges = _gnp_edges(n, p, rng)
-    sw_bits = rng.bits(n)
-    switches = tuple(
-        SwitchType.SIGMA if (sw_bits >> v) & 1 else SwitchType.SIGMA_PLUS
-        for v in range(n)
-    )
-    initially_on = BitVec(n, rng.bits(n))
-    return Instance(n, edges, switches, initially_on)
+    # each draw's n bits as a header string, vertex 0's bit first
+    kinds = format(rng.bits(n), f"0{n}b")[::-1].encode().translate(bytes.maketrans(b"01", b"+-"))
+    lamps = format(rng.bits(n), f"0{n}b")[::-1].encode()
+    return Instance.__new__(Instance)._init(n, edges, kinds, lamps)
 
 
 # per family: parameter names, vertices plus edges, and a builder taking the
@@ -147,8 +147,11 @@ _FAMILIES = {
 
 
 def _cmd_gen(args) -> int:
-    from .cli import EXIT_OK, _fail
+    from .cli import EXIT_OK, _fail, _out_of_range
 
+    # SplitMix64 would take the seed mod 2**64, so two seeds would alias
+    if bad := _out_of_range("--seed", args.seed, 0, _MASK64):
+        return _fail(bad)
     if args.family not in _FAMILIES:
         return _fail(
             f"unknown family {_clip(args.family)!r} (choose from {', '.join(_FAMILIES)})"
@@ -173,12 +176,12 @@ def _cmd_gen(args) -> int:
                 f" {GEN_LIMIT} vertices plus edges"
             )
         inst = build(*params, args.seed)
-        if args.switches is not None or args.on is not None:
-            switches = (
-                parse_switch_string(args.switches) if args.switches is not None else None
-            )
-            on = BitVec.from01(args.on) if args.on is not None else None
-            inst = Instance(inst.n, inst.edges, switches, on)
+        # checked as the line parser checks the header, and put on the
+        # instance just built, whose rows nothing has packed
+        if args.switches is not None:
+            inst._kinds = _header_bytes(args.switches, inst.n, "switch", "--switches: ")
+        if args.on is not None:
+            inst._lamps = _header_bytes(args.on, inst.n, "state", "--on: ")
     except ValueError as exc:
         return _fail(str(exc))
     sys.stdout.write(render_instance(inst))
@@ -195,7 +198,7 @@ def _add_gen(sub) -> None:
     )
     p.add_argument("family", help=" | ".join(_FAMILIES))
     p.add_argument("params", nargs="*", help="family parameters (e.g. grid W H)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--switches", metavar="STR", help="override switch string (+/-)")
     p.add_argument("--on", metavar="STR", help="override initial lamp states (0/1)")
     p.set_defaults(func=_cmd_gen)

@@ -26,17 +26,20 @@ parsed so far, holds both forms of each vertex number's token and turns
 each endpoint token into its vertex with one lookup.  A leading zero, a
 digit beside an 'e' and digits after the last newline each leave a token
 that finds no key, or a slab's first token other than 'e'.
-The bulk path makes no edge tuples, switch-type tuple or BitVec and
-sorts nothing: the Instance keeps the header's switch and state bytes as
-they were read, and the endpoints go straight to
+Neither path makes a switch-type tuple or a BitVec: the Instance keeps
+the header's switch and state bytes as they were read.  The bulk path
+also makes no edge tuples and sorts nothing: the endpoints go straight to
 ``gf2._packed_endpoints``, which builds the rows of the linear system
 (see ``gf2._packed_system``) and turns away a self-loop, a repeated edge
 and an endpoint >= n.  The Instance derives its sorted edges from the
 rows only when they are read.
 Any other text, and any text the bulk path finds a fault in, goes to the
 line-by-line parser, which reads a str; bytes are decoded as UTF-8 for it
-only.  So every other valid layout (comments, blank lines, CRLF, tabs,
-extra spaces, a missing final newline) parses to the same Instance, and
+only.  It checks the switch and state strings in place with
+``_header_bytes``, which gen's --switches and --on share, and hands their
+bytes and the edges to ``Instance._init``, which checks each edge.  So
+every other valid layout (comments, blank lines, CRLF, tabs, extra
+spaces, a missing final newline) parses to the same Instance, and
 only the line parser raises ParseError, naming the first bad line in file
 order.  Both paths refuse a vertex count above VERTEX_LIMIT before
 building anything n-sized.
@@ -48,8 +51,7 @@ import re
 from collections.abc import Iterator
 from operator import itemgetter
 
-from .gf2 import BitVec
-from .lamps import _SWITCH_OF, EdgeError, Instance, SwitchType, _clip
+from .lamps import EdgeError, Instance, _clip
 
 
 class ParseError(ValueError):
@@ -113,13 +115,18 @@ _DIGITS = b"0123456789"
 _VERTEX_OF: dict[bytes, int] = {}
 
 
-def parse_switch_string(text: str) -> tuple[SwitchType, ...]:
-    """'+'/'-' characters to switch types; raises ValueError on others."""
-    # strip leaves the first character that is not '+' or '-' in front
-    bad = text.strip("+-")
-    if bad:
-        raise ValueError(f"switch character {bad[0]!r} is not '+' or '-'")
-    return tuple(map(_SWITCH_OF.__getitem__, text))
+def _header_bytes(text: str, n: int, name: str, where: str = "") -> bytes:
+    """The header's 'switch' or 'state' string as bytes, once it is checked
+    to be n characters of '+'/'-' or of '0'/'1'; otherwise ValueError with
+    the line parser's message, after where."""
+    if len(text) != n:
+        raise ValueError(f"{where}{name} string has length {len(text)}, expected {_clip(n)}")
+    # strip leaves the first character that is not one of the two in front
+    if name == "switch" and (bad := text.strip("+-")):
+        raise ValueError(f"{where}switch character {bad[0]!r} is not '+' or '-'")
+    if name == "state" and text.strip("01"):
+        raise ValueError(f"{where}state string may contain only '0' and '1'")
+    return text.encode()
 
 
 def _edge_endpoints(data: bytes, start: int, n: int) -> list[int] | None:
@@ -236,30 +243,22 @@ def _parse_lines(text: str) -> Instance:
     lineno, fields = next_line("the 'switches' line")
     if len(fields) != 2 or fields[0] != "switches":
         raise ParseError(lineno, "expected 'switches <string of +/->'")
-    if len(fields[1]) != n:
-        raise ParseError(
-            lineno, f"switch string has length {len(fields[1])}, expected {_clip(n)}"
-        )
     # checked once the switch string agrees with the count, and before
     # anything n-sized is built
-    if n > VERTEX_LIMIT:
+    if n > VERTEX_LIMIT and len(fields[1]) == n:
         raise ParseError(header_line, f"vertex count {n} is above the limit of {VERTEX_LIMIT}")
     try:
-        switches = parse_switch_string(fields[1])
+        kinds = _header_bytes(fields[1], n, "switch")
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
 
     lineno, fields = next_line("the 'on' line")
     if len(fields) != 2 or fields[0] != "on":
         raise ParseError(lineno, "expected 'on <string of 0/1>'")
-    if len(fields[1]) != n:
-        raise ParseError(
-            lineno, f"state string has length {len(fields[1])}, expected {n}"
-        )
     try:
-        initially_on = BitVec.from01(fields[1])
-    except ValueError:
-        raise ParseError(lineno, "state string may contain only '0' and '1'") from None
+        lamps = _header_bytes(fields[1], n, "state")
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
     # Instance validates the edges as it consumes them, so the first bad
     # edge it reports is also the first bad line in file order
@@ -280,7 +279,7 @@ def _parse_lines(text: str) -> Instance:
             yield i, j
 
     try:
-        return Instance(n, edges(), switches, initially_on)
+        return Instance.__new__(Instance)._init(n, edges(), kinds, lamps)
     except EdgeError as exc:
         raise ParseError(edge_lines[exc.index], str(exc)) from None
 

@@ -7,10 +7,12 @@ goal is a press set that leaves every lamp on.  ``Solution`` holds such
 a press set together with the decomposition behind its bounds.
 
 An instance keeps its switch types and lamp states as the text format's
-header strings, in bytes (b"+-+...", b"010...").  Its linear system A.u =
-B has one row per vertex v: the vertices v's button toggles, and whether
-lamp v is off.  Its rows are packed in the layout ``gf2.solve`` reads, so
-the solve path uses them as they are; ``gf2._packed_system`` builds them
+header strings, in bytes (b"+-+...", b"010...").  Every instance but the
+bulk parse's is made by ``Instance._init`` from header bytes its caller
+checked and the edges, which it checks.  Its linear system A.u = B has
+one row per vertex v: the vertices v's button toggles, and whether lamp
+v is off.  Its rows are packed in the layout ``gf2.solve`` reads, so the
+solve path uses them as they are; ``gf2._packed_system`` builds them once,
 from one translate of each header string, and ``simulate_presses`` and
 ``build_system`` read them back in vertex order with ``_unmirror``.
 """
@@ -78,10 +80,10 @@ class Instance:
 
     The read-only ``switches`` and ``initially_on`` build a tuple and a
     BitVec from the header bytes on each read.  The constructor keeps the
-    edge tuple, O(edges) space, and packs the system's rows each time they
-    are read.  The bulk parse path keeps the packed rows instead and
-    derives ``edges`` from them on first use.  Either way an instance
-    holds one layout of the rows at most.
+    edge tuple, O(edges) space, and the system's packed rows once they are
+    first read: the rows a solve builds anyway, about n * n / 8 bytes.  The
+    bulk parse path keeps the packed rows alone and derives ``edges`` from
+    them on first use.  Either way an instance packs its rows at most once.
     """
 
     __slots__ = ("n", "_kinds", "_lamps", "_edges", "_rows")
@@ -97,6 +99,30 @@ class Instance:
             n = index(n)
         except TypeError:
             raise ValueError(f"vertex count {_clip(repr(n))} is not an integer") from None
+        # before the header bytes are made n long; _init checks it again
+        if n < 1:
+            raise ValueError("an instance needs at least one vertex")
+        kinds = b"+" * n
+        if switches is not None:
+            switches = tuple(switches)
+            if len(switches) != n:
+                raise ValueError(f"expected {n} switch types, got {len(switches)}")
+            if any(not isinstance(s, SwitchType) for s in switches):
+                raise ValueError("switches must be SwitchType values")
+            # Enum.value is a Python-level property, so one is_ per vertex instead
+            kinds = bytes(map(is_, switches, [SwitchType.SIGMA_PLUS] * n)).translate(_KIND)
+        lamps = b"0" * n
+        if initially_on is not None:
+            if not isinstance(initially_on, BitVec):
+                raise ValueError(f"initially_on must be a BitVec, not {type(initially_on).__name__}")
+            if initially_on.n != n:
+                raise ValueError(f"initially_on has length {initially_on.n}, expected {n}")
+            lamps = initially_on.to01().encode()
+        self._init(n, edges, kinds, lamps)
+
+    def _init(self, n: int, edges: Iterable[tuple[int, int]], kinds: bytes, lamps: bytes) -> Instance:
+        """Fills in and returns self from an int n, the edges and checked header
+        bytes (kinds: n of '+'/'-'; lamps: n of '0'/'1'); checks n and the edges."""
         if n < 1:
             raise ValueError("an instance needs at least one vertex")
         canon = []
@@ -122,29 +148,10 @@ class Instance:
                 raise EdgeError(idx, f"duplicate edge {e}")
             seen.add(e)
             canon.append(e)
-        kinds = b"+" * n
-        if switches is not None:
-            switches = tuple(switches)
-            if len(switches) != n:
-                raise ValueError(f"expected {n} switch types, got {len(switches)}")
-            if any(not isinstance(s, SwitchType) for s in switches):
-                raise ValueError("switches must be SwitchType values")
-            # Enum.value is a Python-level property, so one is_ per vertex instead
-            kinds = bytes(map(is_, switches, [SwitchType.SIGMA_PLUS] * n)).translate(_KIND)
-        lamps = b"0" * n
-        if initially_on is not None:
-            if not isinstance(initially_on, BitVec):
-                raise ValueError(f"initially_on must be a BitVec, not {type(initially_on).__name__}")
-            if initially_on.n != n:
-                raise ValueError(f"initially_on has length {initially_on.n}, expected {n}")
-            lamps = initially_on.to01().encode()
-        self.n = n
         # sorting the list, not the set, keeps an already sorted input cheap
         canon.sort()
-        self._edges = tuple(canon)
-        self._rows = None
-        self._kinds = kinds
-        self._lamps = lamps
+        self.n, self._kinds, self._lamps, self._edges, self._rows = n, kinds, lamps, tuple(canon), None
+        return self
 
     @classmethod
     def _from_endpoints(cls, n: int, ends: list[int], kinds: bytes, lamps: bytes) -> Instance | None:
@@ -184,10 +191,11 @@ class Instance:
         return self._edges
 
     def _packed_rows(self) -> tuple[int, ...]:
-        """The rows of [A | B] as ``gf2._packed_system`` builds them."""
-        if self._rows is not None:
-            return self._rows
-        return tuple(_packed_system(self.n, *self._flag_bytes(), self.edges, len(self.edges)))
+        """The rows of [A | B] as ``gf2._packed_system`` builds them, once."""
+        if self._rows is None:
+            edges = self._edges
+            self._rows = tuple(_packed_system(self.n, *self._flag_bytes(), edges, len(edges)))
+        return self._rows
 
     def _key(self) -> tuple:
         return self.n, self._kinds, self._lamps, self.edges

@@ -342,6 +342,45 @@ class TestGen:
         path.write_text(res.stdout)
         assert run_cli("solve", str(path)).returncode == 2
 
+    @pytest.mark.parametrize(
+        "seed, reason",
+        [("-1", "is below 0"), (str(2**64), f"exceeds {2**64 - 1}")],
+        ids=["negative", "two-to-the-64"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["gen", "tree", "6"], ["bench", "--sizes", "4", "--trials", "1"]], ids=["gen", "bench"]
+    )
+    def test_seed_outside_64_bits_is_refused(self, capsys, argv, seed, reason):
+        # the PRNG keeps 64 bits of state, so each of these would alias a
+        # seed in range: -1 to 2**64 - 1, 2**64 to 0
+        assert cli.main([*argv, "--seed", seed]) == 1
+        assert capsys.readouterr() == ("", f"error: --seed {seed} {reason}\n")
+
+    def test_largest_seed_is_accepted(self, capsys):
+        # the bytes this seed, and -1 with it, gave before the range check
+        assert cli.main(["gen", "tree", "6", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr() == (
+            "allones 6\nswitches ++++++\non 000000\ne 0 1\ne 1 2\ne 1 3\ne 1 5\ne 2 4\n", ""
+        )
+        assert cli.main(["bench", "--sizes", "4", "--trials", "2", "--seed", str(2**64 - 1)]) == 0
+        assert "seed 18446744073709551615" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--switches", "+-"], "--switches: switch string has length 2, expected 4"),
+            (["--switches", "+x+-"], "--switches: switch character 'x' is not '+' or '-'"),
+            (["--on", "0101", "--switches", "+-+"], "--switches: switch string has length 3, expected 4"),
+            (["--on", "01"], "--on: state string has length 2, expected 4"),
+            (["--on", "01 1"], "--on: state string may contain only '0' and '1'"),
+        ],
+        ids=["switches-length", "switches-character", "switches-first", "on-length", "on-character"],
+    )
+    def test_bad_override_names_its_flag(self, capsys, flags, message):
+        # the line parser's checks and messages, after the flag
+        assert cli.main(["gen", "grid", "2", "2", *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_family(self):
         assert run_cli("gen", "torus", "3").returncode == 1
 
@@ -530,6 +569,16 @@ class TestBench:
     )
     def test_bad_flags_fail_cleanly(self, flags):
         assert_clean_usage_error(run_cli("bench", *flags))
+
+    def test_each_instance_packs_its_rows_once(self, monkeypatch, capsys):
+        # every G(n, p) draw at these sizes takes the dense row build; the
+        # solve and the replay of a feasible answer share its rows
+        built = []
+        mirror = gf2._or_mirrored
+        monkeypatch.setattr(gf2, "_or_mirrored", lambda rows, cols: built.append(cols) or mirror(rows, cols))
+        assert cli.main(["bench", "--sizes", "200,256", "--trials", "3", "--oracle-limit", "0"]) == 0
+        assert "instances: 6 (feasible " in capsys.readouterr().out
+        assert built == [200] * 3 + [256] * 3
 
     def test_text_report(self):
         res = run_cli("bench", "--sizes", "6", "--trials", "3", "--seed", "1")

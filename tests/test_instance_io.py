@@ -1,12 +1,14 @@
 """Text format round-trips, parse errors with line numbers, generators."""
 
+import contextlib
 import hashlib
+import io
 import random
 import re
 
 import pytest
 
-from allones import gf2, instance_io
+from allones import approx, cli, gf2, instance_io, lamps
 from allones.generators import (
     SplitMix64,
     gen_complete,
@@ -20,16 +22,44 @@ from allones.generators import (
 from allones.gf2 import BitVec
 from allones.instance_io import (
     ParseError,
+    _header_bytes,
     _parse_canonical,
     _parse_lines,
     parse_instance,
-    parse_switch_string,
     render_instance,
 )
-from allones.lamps import Instance, SwitchType, build_system, simulate_presses
+from allones.lamps import Instance, SwitchType, build_system, is_all_on, simulate_presses
 from helpers import random_instance
 
 K2_TEXT = "allones 2\nswitches ++\non 00\ne 0 1\n"
+
+
+@pytest.fixture
+def no_round_trip(monkeypatch):
+    """Refuses every way the header strings could pass through a switch-type
+    tuple or a BitVec on their way into an Instance: the constructor's
+    switches and initially_on arguments, BitVec.from01 and to01, and the two
+    read-only views.  Returns the monkeypatch, to undo it."""
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise LookupError(name)
+
+        return call
+
+    init = Instance.__init__
+
+    def plain_init(self, n, edges=(), switches=None, initially_on=None):
+        if switches is not None or initially_on is not None:
+            raise LookupError("Instance(..., switches, initially_on)")
+        init(self, n, edges)
+
+    monkeypatch.setattr(Instance, "__init__", plain_init)
+    monkeypatch.setattr(BitVec, "from01", refuse("from01"))
+    monkeypatch.setattr(BitVec, "to01", refuse("to01"))
+    monkeypatch.setattr(Instance, "switches", property(refuse("switches")))
+    monkeypatch.setattr(Instance, "initially_on", property(refuse("initially_on")))
+    return monkeypatch
 
 
 class TestFormat:
@@ -51,29 +81,17 @@ class TestFormat:
             inst = random_instance(rnd, max_n=40)
             assert parse_instance(render_instance(inst)) == inst
 
-    def test_canonical_parse_keeps_the_header_bytes(self, monkeypatch):
-        # the bulk path builds no switch-type tuple or BitVec; the line
-        # parser still reads the two header strings through these two
+    def test_canonical_parse_keeps_the_header_bytes(self, no_round_trip):
+        # neither path builds a switch-type tuple or a BitVec: both hand the
+        # header strings' bytes to the Instance as they were checked
         text = "allones 3\nswitches +-+\non 100\ne 0 1\ne 2 1\n"
+        bulk, lines = parse_instance(text), _parse_lines(text)
+        no_round_trip.undo()
         want = Instance(3, [(0, 1), (1, 2)], tuple(map(SwitchType, "+-+")), BitVec.from01("100"))
-
-        def refuse(name):
-            def call(*args):
-                raise LookupError(name)
-
-            return call
-
-        monkeypatch.setattr(instance_io, "parse_switch_string", refuse("parse_switch_string"))
-        monkeypatch.setattr(BitVec, "from01", refuse("from01"))
-        inst = parse_instance(text)
-        with pytest.raises(LookupError, match="parse_switch_string"):
-            _parse_lines(text)
-        monkeypatch.setattr(instance_io, "parse_switch_string", parse_switch_string)
-        with pytest.raises(LookupError, match="from01"):
-            _parse_lines(text)
-        monkeypatch.undo()
-        assert inst == want
-        assert (inst.switches, inst.initially_on) == (want.switches, want.initially_on)
+        for inst in (bulk, lines):
+            assert inst == want
+            assert (inst._kinds, inst._lamps) == (b"+-+", b"100")
+            assert (inst.switches, inst.initially_on) == (want.switches, want.initially_on)
 
     def test_edge_order_is_normalized(self):
         text = "allones 3\nswitches +++\non 000\ne 2 1\ne 1 0\n"
@@ -409,7 +427,8 @@ class TestDenseRoute:
     def test_constructed_dense_instance_takes_the_dense_build(self, routes, mixed):
         inst, text = _mixed_dense() if mixed else (gen_random_gnp(300, 0.5, seed=1), None)
         rows = inst._packed_rows()
-        assert inst._rows is None and routes == [inst.n]
+        # kept, so a second read builds nothing
+        assert inst._packed_rows() is rows and routes == [inst.n]
         assert rows == _loop_rows(inst)
         parsed = _parse_canonical(text or render_instance(inst))
         assert parsed._rows == rows
@@ -576,6 +595,79 @@ class TestTwoForms:
         assert inst._rows is None
 
 
+def _gen(*argv):
+    """What `allones gen ARGV` prints, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gen", *argv]) == 0
+    return out.getvalue()
+
+
+class TestOneWayIn:
+    """Every producer hands an Instance the same header bytes and edges, and
+    every Instance packs its rows once."""
+
+    # both sides of a row's byte boundary (63, 64) and of the dense row
+    # build's vertex floor (gf2._DENSE_MIN_N = 200)
+    @pytest.mark.parametrize("n", [8, 63, 64, 200, 256])
+    def test_four_producers_give_one_instance(self, n):
+        assert gf2._DENSE_MIN_N == 200
+        rnd = random.Random(n)
+        kinds = "".join(rnd.choice("+-") for _ in range(n))
+        lamps = "".join(rnd.choice("01") for _ in range(n))
+        graph = gen_random_gnp(n, 0.5, seed=n)
+        built = Instance(n, graph.edges, tuple(map(SwitchType, kinds)), BitVec.from01(lamps))
+        text = render_instance(built)
+        crlf = "# G(n, 1/2), mixed\r\n" + text.replace("\n", "\r\n")
+        assert _parse_canonical(crlf) is None
+        # the = form, since a string that starts with '-' would read as a flag
+        generated = _gen("gnp", str(n), "0.5", "--seed", str(n), f"--switches={kinds}", "--on", lamps)
+        assert generated == text
+        producers = [_parse_canonical(text), _parse_lines(crlf), built, parse_instance(generated)]
+        rows = built._packed_rows()
+        for inst in producers:
+            assert inst == built
+            assert (inst._kinds, inst._lamps) == (kinds.encode(), lamps.encode())
+            assert inst._packed_rows() == rows
+
+    def test_line_parse_and_gen_overrides_keep_the_checked_bytes(self, no_round_trip):
+        text = render_instance(gen_random_mixed(40, 0.3, seed=3))
+        crlf = "# mixed\r\n" + text.replace("\n", "\r\n")
+        kinds, lamps = text.split("\n")[1][9:], text.split("\n")[2][3:]
+        lines = _parse_lines(crlf)
+        generated = _gen("gnp", "40", "0.3", "--seed", "3", f"--switches={kinds}", "--on", lamps)
+        no_round_trip.undo()
+        assert (lines._kinds, lines._lamps) == (kinds.encode(), lamps.encode())
+        assert lines == parse_instance(generated)
+        assert render_instance(lines) == text
+
+    def test_gen_puts_the_overrides_on_the_instance_it_built(self, monkeypatch):
+        # the generated instance's edges are checked and sorted once
+        made = []
+        init = Instance.__init__
+        monkeypatch.setattr(Instance, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+        out = _gen("grid", "3", "2", "--switches", "+-+-+-", "--on", "011010")
+        assert len(made) == 1
+        assert out.split("\n")[1:3] == ["switches +-+-+-", "on 011010"]
+
+    def test_a_constructed_instance_packs_its_rows_once(self, monkeypatch):
+        calls = []
+        build = lamps._packed_system
+        monkeypatch.setattr(lamps, "_packed_system", lambda *a: calls.append(a[0]) or build(*a))
+        # a feasible draw, so the answer is replayed too
+        inst = gen_random_mixed(30, 0.5, seed=4)
+        _, sol = approx.solve_approx(inst)
+        assert sol is not None
+        assert is_all_on(simulate_presses(inst, sol.press))
+        a, b = build_system(inst)
+        assert calls == [30]
+        # a parsed instance's rows come from the bulk parse itself
+        parsed = parse_instance(render_instance(inst))
+        assert parsed._packed_rows() == inst._packed_rows()
+        assert build_system(parsed) == (a, b)
+        assert calls == [30]
+
+
 class TestGenerators:
     def test_grid_2x2_is_a_four_cycle(self):
         inst = gen_grid(2, 2)
@@ -684,6 +776,11 @@ class TestSplitMix64:
             rng.bits(-1)
 
 
-def test_parse_switch_string_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_switch_string("+?")
+def test_header_bytes_rejects_garbage():
+    assert _header_bytes("+-", 2, "switch") == b"+-" and _header_bytes("01", 2, "state") == b"01"
+    with pytest.raises(ValueError, match=r"^switch character '\?' is not '\+' or '-'$"):
+        _header_bytes("+?", 2, "switch")
+    with pytest.raises(ValueError, match="^--on: state string may contain only '0' and '1'$"):
+        _header_bytes("0+", 2, "state", "--on: ")
+    with pytest.raises(ValueError, match="^state string has length 3, expected 2$"):
+        _header_bytes("010", 2, "state")
